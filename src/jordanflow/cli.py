@@ -23,12 +23,13 @@ from .errors import (
     NoRealLog,
 )
 from .flags import (
+    Flag,
     FlagType,
     bruhat_cell,
     classify_flow,
+    flag_recurrent_membership,
     nearest_component,
     random_flag,
-    rate_filtration,
     simulate_flag,
     unstable_bruhat_cell,
 )
@@ -143,8 +144,6 @@ def parse_flag_input(path, n):
     """Flag JSON: {"dims": [...], "basis": [[row], ...]} with n rows whose
     columns are orthonormal within 1e-8 (re-orthonormalized with a warning
     otherwise)."""
-    from .flags import Flag
-
     doc, raw = _load_json(path)
     if not isinstance(doc, dict) or "dims" not in doc or "basis" not in doc:
         raise InputError('flag input needs {"dims": [...], "basis": [[...], ...]}')
@@ -264,7 +263,7 @@ def cmd_analyze(args):
 
     dec = _decompose(mat, pol, args.time)
     cls = classify_flow(dec, dims, pol)
-    filt = rate_filtration(dec, pol)
+    filt = cls.filtration
     comps = list(cls.components)
     if cls.rate_margin < 10.0:
         warnings.append(
@@ -314,8 +313,6 @@ def cmd_analyze(args):
             warnings.append(
                 "flag basis was not orthonormal within 1e-8; re-orthonormalized"
             )
-        from .flags import flag_recurrent_membership
-
         cell = bruhat_cell(flag, filt, dims, pol, components=comps)
         flag_classification = {
             "sha256": flag_hash,
@@ -381,11 +378,7 @@ def cmd_chain_oracle(args):
     )
     md = morse_components_projective(dec, pol)
     member_tol = args.eps / 2.0
-    inside = np.stack(
-        [np.linalg.norm(graph.points @ c.basis, axis=1) for c in md.components]
-    )
-    dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * inside))
-    member = dist.min(axis=0) <= member_tol
+    member = md.distances(graph.points).min(axis=0) <= member_tol
     agreement = float(np.mean(member == graph.marked))
 
     report = {

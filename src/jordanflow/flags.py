@@ -17,7 +17,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditioned, InputError, RankAmbiguous
-from .jordan import AdditiveJordan, MultiplicativeJordan, wedge_basis
+from .jordan import (
+    AdditiveJordan,
+    MultiplicativeJordan,
+    additive_jordan,
+    multiplicative_jordan,
+    wedge_basis,
+)
 from .matrixcore import (
     DEFAULT_POLICY,
     as_square_matrix,
@@ -26,9 +32,10 @@ from .matrixcore import (
 )
 from .projective import (
     ProjectivePoint,
-    _advance,
     _as_decomposition,
     _group_by_rate,
+    _invariance_residual,
+    _trajectory,
 )
 
 __all__ = [
@@ -547,17 +554,12 @@ def flag_recurrent_membership(flag, dec, pol=None, tol=None):
     pol = pol or DEFAULT_POLICY
     dec = _as_decomposition(dec)
     tol = pol.residual_tol if tol is None else tol
-    if isinstance(dec, AdditiveJordan):
-        mats = [dec.H, dec.N]
-    else:
-        mats = [dec.h, dec.u]
-    for i in range(len(flag.dims.dims)):
-        b = flag.subspace(i)
-        for m in mats:
-            resid = m @ b - b @ (b.T @ (m @ b))
-            if opnorm(resid) > tol * max(1.0, opnorm(m)):
-                return False
-    return True
+    mats = [dec.H, dec.N] if dec.continuous else [dec.h, dec.u]
+    return all(
+        _invariance_residual(m, flag.subspace(i)) <= tol
+        for i in range(len(flag.dims.dims))
+        for m in mats
+    )
 
 
 def simulate_flag(dec, flag, t_grid):
@@ -565,15 +567,8 @@ def simulate_flag(dec, flag, t_grid):
     internal substeps too) keeps the nested spans exact, the basis bounded,
     and subdominant directions resolvable."""
     dec = _as_decomposition(dec)
-    b = flag.basis.copy()
-    out = []
-    t_prev = 0.0
-    cache = {}
-    for t in t_grid:
-        b = _advance(dec, b, t - t_prev, cache, _orthonormalize)
-        out.append(Flag(b, flag.dims))
-        t_prev = t
-    return out
+    traj = _trajectory(dec, flag.basis.copy(), t_grid, _orthonormalize)
+    return [Flag(b, flag.dims) for b in traj]
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +577,8 @@ def simulate_flag(dec, flag, t_grid):
 
 @dataclass(frozen=True)
 class FlowClassification:
-    """Structural verdicts for the induced flow on one flag manifold."""
+    """Structural verdicts for the induced flow on one flag manifold, with
+    the rate filtration they were read from."""
 
     h_regular: bool
     conformal: bool
@@ -595,6 +591,7 @@ class FlowClassification:
     conformal_margin: float
     continuous: bool
     flag_dims: tuple
+    filtration: RateFiltration
 
 
 def classify_flow(mat_or_dec, dims, pol=None, time="continuous"):
@@ -610,12 +607,8 @@ def classify_flow(mat_or_dec, dims, pol=None, time="continuous"):
     if isinstance(mat_or_dec, (AdditiveJordan, MultiplicativeJordan)):
         dec = mat_or_dec
     elif time == "continuous":
-        from .jordan import additive_jordan
-
         dec = additive_jordan(as_square_matrix(mat_or_dec, "X"), pol)
     else:
-        from .jordan import multiplicative_jordan
-
         dec = multiplicative_jordan(as_square_matrix(mat_or_dec, "g"), pol)
 
     filt = rate_filtration(dec, pol)
@@ -661,6 +654,7 @@ def classify_flow(mat_or_dec, dims, pol=None, time="continuous"):
         conformal_margin=float(conformal_margin),
         continuous=filt.continuous,
         flag_dims=dims.dims,
+        filtration=filt,
     )
 
 

@@ -25,14 +25,8 @@ from .flags import (
     rate_filtration,
 )
 from .jordan import additive_jordan, multiplicative_jordan
-from .matrixcore import (
-    DEFAULT_POLICY,
-    as_square_matrix,
-    matrix_exp,
-    opnorm,
-    principal_log,
-)
-from .projective import ProjectivePoint
+from .matrixcore import DEFAULT_POLICY, as_square_matrix, matrix_exp, opnorm
+from .projective import ProjectivePoint, _invariance_residual
 
 __all__ = [
     "PeriodicCoefficient",
@@ -87,7 +81,7 @@ class PeriodicCoefficient:
             cleaned.append((k, a, b))
             scale = max(scale, opnorm(a), opnorm(b))
         object.__setattr__(self, "harmonics", tuple(cleaned))
-        tol = 1e-9 * n * scale * 10
+        tol = DEFAULT_POLICY.residual_tol * n * scale * 10
         for name, m in [("A0", a0)] + [
             (f"A_{k}", a) for k, a, _ in cleaned
         ] + [(f"B_{k}", b) for k, _, b in cleaned]:
@@ -247,9 +241,11 @@ def integrate_fundamental(coef, steps, stiffness_budget=1e-4):
 def floquet_generator(mono, period, pol=None):
     """Smallest m in {1, 2, 4, ..., 64} and real X with mono^m = exp(mTX).
 
-    Doubling m squares the elliptic eigenvalues, which is exactly what
-    removes the negative-real-axis obstruction to a principal real log; if
-    the whole budget fails, NoRealLog is raised rather than complexifying.
+    log(mono^m) = log(e^m) + m logH + m log u is read off the clusters of the
+    monodromy's multiplicative Jordan decomposition.  Doubling m squares the
+    elliptic eigenvalues, which is exactly what removes the negative-real-axis
+    obstruction to a principal real log; if the whole budget fails,
+    NoRealLog is raised rather than complexifying.
     """
     pol = pol or DEFAULT_POLICY
     mono = as_square_matrix(mono, "monodromy")
@@ -268,13 +264,7 @@ def floquet_generator(mono, period, pol=None):
             abs(u**m + 1.0) <= pol.cluster_tol * 10 for u in units
         )
         if not obstructed:
-            em = np.linalg.matrix_power(mdec.e, m)
-            try:
-                e_log = principal_log(em, pol)
-            except Exception:
-                m *= 2
-                continue
-            x = (e_log + m * mdec.logH + m * log_u) / (m * period)
+            x = (mdec.log_e_power(m) + m * mdec.logH + m * log_u) / (m * period)
             resid = opnorm(
                 np.linalg.matrix_power(mono, m) - matrix_exp(m * period * x)
             )
@@ -340,6 +330,11 @@ def skew_step(fund, fd, s, x, t):
 # Morse decomposition of the skew flow
 # ---------------------------------------------------------------------------
 
+def _pull_back(fd, s, flag):
+    """The fiber flag a(s)^(-1) flag, re-orthonormalized."""
+    return Flag(_orthonormalize(np.linalg.solve(fd.a(s), flag.basis)), flag.dims)
+
+
 @dataclass(frozen=True)
 class FloquetMorseDecomposition:
     """Finest Morse decomposition of the skew flow on S^1 x FlagManifold.
@@ -358,14 +353,13 @@ class FloquetMorseDecomposition:
         h-invariant flag whose Bruhat pattern matches the component."""
         pol = pol or DEFAULT_POLICY
         tol = pol.sim_tol if tol is None else tol
-        a_s = self.data.a(s)
-        z = Flag(_orthonormalize(np.linalg.solve(a_s, flag.basis)), flag.dims)
+        z = _pull_back(self.data, s, flag)
         hmat = self.data.dec.H
-        for i in range(len(z.dims.dims)):
-            b = z.subspace(i)
-            resid = hmat @ b - b @ (b.T @ (hmat @ b))
-            if opnorm(resid) > tol * max(1.0, opnorm(hmat)):
-                return False
+        if any(
+            _invariance_residual(hmat, z.subspace(i)) > tol
+            for i in range(len(z.dims.dims))
+        ):
+            return False
         table, _ = _cell_assignment(z, self.filtration, pol)
         return table == self.components[index].assignment
 
@@ -387,6 +381,4 @@ def floquet_lyapunov(fd, s, flag, pol=None):
     """Lyapunov value F(s, y) = f(a(s)^(-1) y) of the skew flow; constant on
     skew Morse components, non-increasing along skew orbits."""
     pol = pol or DEFAULT_POLICY
-    a_s = fd.a(s)
-    z = Flag(_orthonormalize(np.linalg.solve(a_s, flag.basis)), flag.dims)
-    return height_lyapunov(z, fd.dec.H, pol)
+    return height_lyapunov(_pull_back(fd, s, flag), fd.dec.H, pol)

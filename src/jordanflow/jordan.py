@@ -195,6 +195,24 @@ class MultiplicativeJordan:
     def log_u(self):
         return unipotent_log(self.u, self.policy)
 
+    def log_e_power(self, m):
+        """Principal real log of e^m, cluster by cluster: a real cluster
+        gives 0; on a pair r*exp(i*theta), e = cos(theta) I + sin(theta) J
+        with J^2 = -I, so log(e^m) = remainder(m*theta, 2 pi) J.  Only
+        principal when e^m has no eigenvalue -1 (floquet_generator skips
+        such m)."""
+
+        def block(c):
+            lam = c.eigenvalue
+            k = c.block.shape[0]
+            if not c.is_pair:
+                return np.zeros((k, k))
+            j = (_cluster_semisimple_block(c) - lam.real * np.eye(k)) / lam.imag
+            theta = math.atan2(lam.imag, lam.real)
+            return math.remainder(m * theta, 2.0 * math.pi) * j
+
+        return _assemble(self.spectral, block)
+
     def residuals(self):
         g, e, h, u = self.g, self.e, self.h, self.u
         return {
@@ -286,11 +304,6 @@ def multiplicative_jordan(g, pol=None):
     return dec
 
 
-def _integer_power(a, t):
-    t = int(t)
-    return np.linalg.matrix_power(a, t)
-
-
 def flow_at(t, dec):
     """Evaluate the flow and its Jordan factors at time t.
 
@@ -316,10 +329,10 @@ def flow_at(t, dec):
         t = int(t)
         if abs(t) * opnorm(dec.logH) > EXP_NORM_BUDGET:
             raise Overflow(f"|t|*|logH| exceeds the exp budget at t={t}")
-        et = _integer_power(dec.e, t)
+        et = np.linalg.matrix_power(dec.e, t)
         ht = matrix_exp(t * dec.logH)
         ut = matrix_exp(t * dec.log_u())
-        gt = _integer_power(dec.g, t)
+        gt = np.linalg.matrix_power(dec.g, t)
         return gt, et, ht, ut
     raise InputError(f"not a Jordan decomposition: {type(dec)!r}")
 

@@ -148,11 +148,17 @@ class ProjectiveMorseDecomposition:
     def repeller_index(self):
         return len(self.components) - 1
 
+    def distances(self, points):
+        """Chordal distances (components x points) from unit row points."""
+        pts = np.atleast_2d(points)
+        inside = np.stack(
+            [np.linalg.norm(pts @ c.basis, axis=1) for c in self.components]
+        )
+        return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * inside))
+
     def distance_to_component(self, p, i):
         """Chordal distance from a point to the i-th projective eigenspace."""
-        b = self.components[i].basis
-        inside = np.linalg.norm(b.T @ p.rep)
-        return math.sqrt(max(0.0, 2.0 - 2.0 * inside))
+        return float(self.distances(p.rep)[i, 0])
 
     def component_coordinates(self, p):
         """Norms of the oblique eigenspace components of the representative."""
@@ -161,17 +167,21 @@ class ProjectiveMorseDecomposition:
         )
 
 
+def _cluster_rates(dec):
+    """Exponential rate of each spectral cluster: the real part in continuous
+    time, log |lambda| in discrete time."""
+    if dec.continuous:
+        return [c.eigenvalue.real for c in dec.spectral.clusters]
+    return [math.log(abs(c.eigenvalue)) for c in dec.spectral.clusters]
+
+
 def _group_by_rate(dec, pol):
     """Group spectral clusters by exponential rate, decreasing.
 
     Rates merge under the same relative rule as eigenvalues do; coincident
     moduli of distinct eigenvalue clusters (e.g. 2 and -2) land in one group.
     """
-    cont = isinstance(dec, AdditiveJordan)
-    items = []
-    for c in dec.spectral.clusters:
-        rate = c.eigenvalue.real if cont else math.log(abs(c.eigenvalue))
-        items.append((rate, c))
+    items = list(zip(_cluster_rates(dec), dec.spectral.clusters))
     items.sort(key=lambda rc: -rc[0])
     groups = []
     for rate, c in items:
@@ -275,10 +285,11 @@ def unipotent_limit(p, n_mat, pol=None):
     return ProjectivePoint(best)
 
 
-def _parallel_residual(m, v):
-    """Distance of m @ v from the line through unit v."""
-    w = m @ v
-    return float(np.linalg.norm(w - (v @ w) * v))
+def _invariance_residual(m, b):
+    """||M B - B B^T M B|| / max(1, ||M||): how far the span of the
+    orthonormal columns of B is from being M-invariant."""
+    mb = m @ b
+    return opnorm(mb - b @ (b.T @ mb)) / max(1.0, opnorm(m))
 
 
 def recurrent_membership(p, dec, pol=None, tol=None):
@@ -287,14 +298,11 @@ def recurrent_membership(p, dec, pol=None, tol=None):
     pol = pol or DEFAULT_POLICY
     dec = _as_decomposition(dec)
     tol = pol.residual_tol if tol is None else tol
-    v = p.rep
-    if isinstance(dec, AdditiveJordan):
-        hyper_ok = _parallel_residual(dec.H, v) <= tol * max(1.0, opnorm(dec.H))
-        unip_ok = np.linalg.norm(dec.N @ v) <= tol * max(1.0, opnorm(dec.N))
-    else:
-        hyper_ok = _parallel_residual(dec.h, v) <= tol * max(1.0, opnorm(dec.h))
-        unip_ok = _parallel_residual(dec.u, v) <= tol * max(1.0, opnorm(dec.u))
-    return bool(hyper_ok and unip_ok)
+    if not chain_recurrent_membership(p, dec, pol, tol):
+        return False
+    if dec.continuous:
+        return bool(np.linalg.norm(dec.N @ p.rep) <= tol * max(1.0, opnorm(dec.N)))
+    return _invariance_residual(dec.u, p.rep[:, None]) <= tol
 
 
 def chain_recurrent_membership(p, dec, pol=None, tol=None):
@@ -303,10 +311,8 @@ def chain_recurrent_membership(p, dec, pol=None, tol=None):
     pol = pol or DEFAULT_POLICY
     dec = _as_decomposition(dec)
     tol = pol.residual_tol if tol is None else tol
-    v = p.rep
-    if isinstance(dec, AdditiveJordan):
-        return _parallel_residual(dec.H, v) <= tol * max(1.0, opnorm(dec.H))
-    return _parallel_residual(dec.h, v) <= tol * max(1.0, opnorm(dec.h))
+    hyper = dec.H if dec.continuous else dec.h
+    return _invariance_residual(hyper, p.rep[:, None]) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +352,8 @@ def _step_matrix(dec, dt):
 def _rate_spread(dec):
     """Gap between the fastest and slowest exponential rates of the flow;
     this, not the matrix norm, is what exhausts floating-point range."""
-    if isinstance(dec, AdditiveJordan):
-        w = np.linalg.eigvals(dec.X)
-        return float(np.max(w.real) - np.min(w.real))
-    w = np.abs(np.linalg.eigvals(dec.g))
-    w = w[w > 0]
-    return float(np.log(np.max(w)) - np.log(np.min(w)))
+    rates = _cluster_rates(dec)
+    return float(max(rates) - min(rates))
 
 
 def _substep_plan(dec, dt):
@@ -394,6 +396,18 @@ def _advance(dec, v_or_b, dt, cache, renorm):
     return out
 
 
+def _trajectory(dec, x, t_grid, renorm):
+    """States x(t) over t_grid from x(0) = x; one step cache per trajectory."""
+    out = []
+    t_prev = 0.0
+    cache = {}
+    for t in t_grid:
+        x = _advance(dec, x, t - t_prev, cache, renorm)
+        out.append(x)
+        t_prev = t
+    return out
+
+
 def simulate_projective(dec, p0, t_grid):
     """Trajectory [g^t x0] over t_grid, renormalized at every step.
 
@@ -408,15 +422,7 @@ def simulate_projective(dec, p0, t_grid):
             raise InputError("trajectory left representable range")
         return v / nv
 
-    v = p0.rep.copy()
-    out = []
-    t_prev = 0.0
-    cache = {}
-    for t in t_grid:
-        v = _advance(dec, v, t - t_prev, cache, renorm)
-        out.append(ProjectivePoint(v))
-        t_prev = t
-    return out
+    return [ProjectivePoint(v) for v in _trajectory(dec, p0.rep.copy(), t_grid, renorm)]
 
 
 # ---------------------------------------------------------------------------

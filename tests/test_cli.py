@@ -1,13 +1,16 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jsonschema
 
+import jordanflow
 from jordanflow.cli import main
 from jordanflow.report import dumps_canonical, load_schema
 from systems import random_sl, x4, x5
@@ -20,10 +23,14 @@ def write_matrix(path, mat):
 
 
 def run_cli(args):
+    """Run the CLI in a child process that imports the package under test."""
+    src = str(Path(jordanflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "jordanflow.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 
@@ -131,6 +138,22 @@ class TestAnalyze:
         sim = rep["simulation"]
         assert sim["forward_matches"] == 25 and sim["reverse_matches"] == 25
         assert sim["worst_defect"] < 1e-6
+
+    def test_one_rate_filtration_per_run(self, x4_file, tmp_path, monkeypatch):
+        from jordanflow.flags import RateFiltration
+
+        built = []
+        init = RateFiltration.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RateFiltration, "__init__", counting)
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(x4_file), "--flag", "1,2", "--simulate", "2"]
+        assert main(argv + ["-o", str(out)]) == 0
+        assert len(built) == 1
 
     def test_full_space_flag_exit_2(self, x4_file):
         assert main(["analyze", str(x4_file), "--flag", "1,2,3"]) == 2
@@ -297,6 +320,25 @@ class TestFloquetCmd:
         assert main(["floquet", str(f), "-o", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["m"] == 2
+
+    def test_generator_never_calls_logm(self, tmp_path, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        logm = scipy.linalg.logm
+        monkeypatch.setattr(
+            scipy.linalg, "logm", lambda *a, **k: calls.append(1) or logm(*a, **k)
+        )
+        # rotating elliptic part: e^m is not unipotent, so a matrix log of
+        # e^m would reach logm
+        x0 = [[float(x) for x in r] for r in x4(1, 2)]
+        quarter = [[0.25 * float(x) for x in r] for r in x4(1, 2)]
+        zero = [[0.0] * 3 for _ in range(3)]
+        doc = {"T": 1.0, "A0": x0, "harmonics": [{"k": 1, "A": zero, "B": quarter}]}
+        f = self.write_periodic(tmp_path / "r.json", doc)
+        out = tmp_path / "out.json"
+        assert main(["floquet", str(f), "--flag", "1,2", "-o", str(out)]) == 0
+        assert calls == []
 
     def test_no_real_log_exit_6(self, tmp_path, monkeypatch):
         import jordanflow.cli as climod

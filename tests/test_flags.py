@@ -17,6 +17,7 @@ from jordanflow import (
     height_lyapunov,
     matrix_exp,
     morse_components_projective,
+    multiplicative_jordan,
     plucker_embed,
     rate_filtration,
     simulate_flag,
@@ -322,6 +323,24 @@ class TestFlagRecurrence:
         for _ in range(10):
             f = random_flag(3, (1, 2), rng)
             assert flag_recurrent_membership(f, dec)
+
+
+class TestSimulateFlag:
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_rates_come_from_the_decomposition(self, rng, monkeypatch, discrete):
+        dec = (
+            multiplicative_jordan(matrix_exp(x4(1, 2)))
+            if discrete
+            else additive_jordan(x4(1, 2))
+        )
+        f0 = random_flag(3, (1, 2), rng)
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a)
+        )
+        simulate_flag(dec, f0, [1, 2, 5, -3])
+        assert calls == []
 
 
 class TestHeightLyapunov:

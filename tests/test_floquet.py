@@ -27,6 +27,19 @@ from systems import E1, E2, E3, x1, x4
 
 ZERO3 = np.zeros((3, 3))
 
+#: Monodromy of the benchmark's seed-27 ``n4-h1-s4096`` coefficient, drawn by
+#: ``bench/jobs.py`` from ``np.random.default_rng([27, 3])`` and integrated
+#: with 4096 RK4 steps.  A generator taken through scipy's ``logm`` changes
+#: in its last bits with numpy's global RNG state on this input.
+SEED27_MONODROMY = np.array(
+    [
+        [1.4607835805624565, 0.33117658396151484, -0.36550705882072865, 0.2057095780513973],
+        [-0.31086060662230713, 0.4180989846871032, 0.12161030890745061, -0.6074123014518877],
+        [-0.4495752735687831, 0.4578228760501979, 0.7766505835677255, 0.06652778024924878],
+        [-0.41607314852054655, 0.39293690810324317, -0.24097236427446464, 1.1703256331077534],
+    ]
+)
+
 
 def constant_system(mat, period=1.0):
     return PeriodicCoefficient(period=period, a0=mat, harmonics=())
@@ -142,6 +155,18 @@ class TestFloquetGenerator:
         assert m == 1
         dec = additive_jordan(x)
         assert np.linalg.norm(dec.H) < 1e-9 and np.linalg.norm(dec.N) < 1e-9
+
+    def test_byte_identical_across_global_rng_states(self):
+        state = np.random.get_state()
+        try:
+            generators = set()
+            for s in range(8):
+                np.random.seed(s)
+                m, x = floquet_generator(SEED27_MONODROMY, 1.0)
+                generators.add((m, x.tobytes()))
+        finally:
+            np.random.set_state(state)
+        assert len(generators) == 1
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         import jordanflow.floquet as fl

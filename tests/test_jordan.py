@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from jordanflow import (
+    BranchObstruction,
     InputError,
     NotElliptic,
     Singular,
@@ -11,6 +14,7 @@ from jordanflow import (
     matrix_exp,
     multiplicative_jordan,
     nilpotency_index,
+    principal_log,
     sn_decompose,
     spectral_radius,
     wedge_infinitesimal,
@@ -140,6 +144,27 @@ class TestMultiplicativeJordan:
             assert np.allclose(matrix_exp(dec.logH), dec.h, atol=1e-9)
             hw = np.linalg.eigvals(dec.h)
             assert np.all(hw.real > 0) and np.max(np.abs(hw.imag)) < 1e-9
+
+    def test_log_e_power_closed_form(self):
+        # e is the rotation by 3 rad in the first plane
+        dec = multiplicative_jordan(matrix_exp(x4(1.0, 3.0)))
+        j = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        for m in (1, 2, 3, 4):
+            expected = math.remainder(3.0 * m, 2 * math.pi) * j
+            assert np.allclose(dec.log_e_power(m), expected, atol=1e-12)
+
+    def test_log_e_power_matches_principal_log(self, rng, pol):
+        checked = 0
+        for _ in range(8):
+            dec = multiplicative_jordan(random_sl(4, rng), pol)
+            for m in (1, 2, 3):
+                try:
+                    ref = principal_log(np.linalg.matrix_power(dec.e, m), pol)
+                except BranchObstruction:
+                    continue
+                assert np.allclose(dec.log_e_power(m), ref, atol=1e-8)
+                checked += 1
+        assert checked >= 12
 
 
 class TestFlowAt:
