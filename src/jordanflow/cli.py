@@ -27,8 +27,8 @@ from .flags import (
     FlagType,
     bruhat_cell,
     classify_flow,
+    component_defect,
     flag_recurrent_membership,
-    nearest_component,
     random_flag,
     simulate_flag,
     unstable_bruhat_cell,
@@ -227,7 +227,7 @@ def cmd_decompose(args):
         "conventions": CONVENTIONS,
         "spectrum": spectrum_dict(dec.spectral),
         "factors": factors,
-        "residuals": {k: float(v) for k, v in dec.residuals().items()},
+        "residuals": {k: float(v) for k, v in dec.residuals.items()},
         "warnings": warnings,
     }
     _emit(report, args)
@@ -276,26 +276,23 @@ def cmd_analyze(args):
     if args.simulate:
         rng = np.random.default_rng(args.seed)
         horizon = args.horizon if dec.continuous else max(1, int(args.horizon))
-        fwd = rev = 0
+        matches = [0, 0]  # forward, reverse
         worst = 0.0
         for _ in range(args.simulate):
             f0 = random_flag(input_echo["n"], dims, rng)
-            pred = bruhat_cell(f0, filt, dims, pol, components=comps)
-            end = simulate_flag(dec, f0, [horizon])[-1]
-            near, defect = nearest_component(end, comps, filt)
-            worst = max(worst, defect)
-            if near == pred and defect <= pol.sim_tol:
-                fwd += 1
-            pred_u = unstable_bruhat_cell(f0, filt, dims, pol, components=comps)
-            end_r = simulate_flag(dec, f0, [-horizon])[-1]
-            near_r, defect_r = nearest_component(end_r, comps, filt)
-            worst = max(worst, defect_r)
-            if near_r == pred_u and defect_r <= pol.sim_tol:
-                rev += 1
+            legs = ((bruhat_cell, horizon), (unstable_bruhat_cell, -horizon))
+            for i, (cell, t) in enumerate(legs):
+                # a flag in a Bruhat cell tends to that component: score it only
+                pred = cell(f0, filt, dims, pol, components=comps)
+                end = simulate_flag(dec, f0, [t])[-1]
+                defect = component_defect(end, comps[pred], filt)
+                worst = max(worst, defect)
+                if defect <= pol.sim_tol:
+                    matches[i] += 1
         simulation = {
             "requested": args.simulate,
-            "forward_matches": fwd,
-            "reverse_matches": rev,
+            "forward_matches": matches[0],
+            "reverse_matches": matches[1],
             "worst_defect": float(worst),
             "seed": args.seed,
             "horizon": float(horizon),
@@ -419,10 +416,6 @@ def cmd_floquet(args):
         opnorm(fund.at(t) - periodic_factor(fund, fd, t) @ matrix_exp(t * fd.X))
         for t in samples
     )
-    gen_resid = opnorm(
-        np.linalg.matrix_power(fd.monodromy, fd.m)
-        - matrix_exp(fd.m * fd.period * fd.X)
-    )
 
     components = None
     if args.flag:
@@ -448,7 +441,7 @@ def cmd_floquet(args):
             "N": matrix_rows(fd.dec.N),
         },
         "residuals": {
-            "generator": float(gen_resid),
+            "generator": fd.generator_residual,
             "reconstruction": float(recon),
             "det_drift": fund.det_drift,
             "integration_error": fund.error_estimate,

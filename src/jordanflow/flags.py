@@ -542,7 +542,9 @@ def component_defect(flag, component, filt):
 
 
 def nearest_component(flag, components, filt):
-    """(index, defect) of the component the flag is closest to."""
+    """(index, defect) of the component the flag is closest to, scoring all
+    of them: the reference that tests check the Bruhat prediction against.
+    The CLI scores only the predicted component, with ``component_defect``."""
     defects = [component_defect(flag, c, filt) for c in components]
     i = int(np.argmin(defects))
     return i, defects[i]

@@ -239,7 +239,8 @@ def integrate_fundamental(coef, steps, stiffness_budget=1e-4):
 # ---------------------------------------------------------------------------
 
 def floquet_generator(mono, period, pol=None):
-    """Smallest m in {1, 2, 4, ..., 64} and real X with mono^m = exp(mTX).
+    """Smallest m in {1, 2, 4, ..., 64} and real X with mono^m = exp(mTX), as
+    (m, X, |mono^m - exp(mTX)|): the residual X was accepted on.
 
     log(mono^m) = log(e^m) + m logH + m log u is read off the clusters of the
     monodromy's multiplicative Jordan decomposition.  Doubling m squares the
@@ -269,7 +270,7 @@ def floquet_generator(mono, period, pol=None):
                 np.linalg.matrix_power(mono, m) - matrix_exp(m * period * x)
             )
             if resid <= 1e-8 * scale**m * n * 10:
-                return m, x
+                return m, x, resid
         m *= 2
     raise NoRealLog(
         f"no m <= {MAX_M} gives a principal real logarithm of the monodromy"
@@ -278,14 +279,16 @@ def floquet_generator(mono, period, pol=None):
 
 @dataclass(frozen=True)
 class FloquetData:
-    """Monodromy, minimal power m, real generator X with g(T)^m = exp(mTX),
-    the additive Jordan decomposition of X, and the fundamental solution
-    backing the periodic factor a(t) = g(t) exp(-tX) (period mT)."""
+    """Monodromy, minimal power m, real generator X with g(T)^m = exp(mTX)
+    and its residual |g(T)^m - exp(mTX)|, the additive Jordan decomposition
+    of X, and the fundamental solution backing the periodic factor
+    a(t) = g(t) exp(-tX) (period mT)."""
 
     fundamental: FundamentalSolution
     monodromy: np.ndarray
     m: int
     X: np.ndarray
+    generator_residual: float
     dec: object  # AdditiveJordan of X
 
     @property
@@ -302,10 +305,15 @@ class FloquetData:
 
 def floquet_data(fund, pol=None):
     pol = pol or DEFAULT_POLICY
-    m, x = floquet_generator(fund.monodromy, fund.period, pol)
+    m, x, resid = floquet_generator(fund.monodromy, fund.period, pol)
     dec = additive_jordan(x, pol)
     return FloquetData(
-        fundamental=fund, monodromy=fund.monodromy.copy(), m=m, X=x, dec=dec
+        fundamental=fund,
+        monodromy=fund.monodromy.copy(),
+        m=m,
+        X=x,
+        generator_residual=resid,
+        dec=dec,
     )
 
 

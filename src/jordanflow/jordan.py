@@ -145,7 +145,8 @@ def _check_sn(a, s, n, pol):
 
 @dataclass(frozen=True)
 class AdditiveJordan:
-    """X = E + H + N: commuting elliptic + hyperbolic + nilpotent parts."""
+    """X = E + H + N: commuting elliptic + hyperbolic + nilpotent parts, and
+    the residual certificate ``additive_jordan`` accepted them on."""
 
     X: np.ndarray
     E: np.ndarray
@@ -153,6 +154,7 @@ class AdditiveJordan:
     N: np.ndarray
     spectral: SpectralData
     policy: object
+    residuals: dict
 
     continuous = True
 
@@ -160,22 +162,14 @@ class AdditiveJordan:
     def source(self):
         return self.X
 
-    def residuals(self):
-        x, e, h, n = self.X, self.E, self.H, self.N
-        return {
-            "sum": opnorm(x - (e + h + n)),
-            "commute_EH": opnorm(e @ h - h @ e),
-            "commute_EN": opnorm(e @ n - n @ e),
-            "commute_HN": opnorm(h @ n - n @ h),
-        }
-
 
 @dataclass(frozen=True)
 class MultiplicativeJordan:
     """g = e h u: commuting elliptic * hyperbolic * unipotent factors.
 
     ``logH`` satisfies exp(logH) = h and shares h's eigenprojections, so
-    integer and real powers of h are exp(t * logH).
+    integer and real powers of h are exp(t * logH).  ``residuals`` is the
+    certificate ``multiplicative_jordan`` accepted the factors on.
     """
 
     g: np.ndarray
@@ -185,6 +179,7 @@ class MultiplicativeJordan:
     logH: np.ndarray
     spectral: SpectralData
     policy: object
+    residuals: dict
 
     continuous = False
 
@@ -213,16 +208,6 @@ class MultiplicativeJordan:
 
         return _assemble(self.spectral, block)
 
-    def residuals(self):
-        g, e, h, u = self.g, self.e, self.h, self.u
-        return {
-            "product": opnorm(g - e @ h @ u),
-            "commute_eh": opnorm(e @ h - h @ e),
-            "commute_eu": opnorm(e @ u - u @ e),
-            "commute_hu": opnorm(h @ u - u @ h),
-            "exp_logH": opnorm(matrix_exp(self.logH) - h),
-        }
-
 
 @dataclass(frozen=True)
 class InvariantMetric:
@@ -233,6 +218,15 @@ class InvariantMetric:
     def norm(self, v):
         v = np.asarray(v, dtype=float)
         return float(np.sqrt(v @ self.gram @ v))
+
+
+def _check_jordan_residuals(res, scale, n, pol):
+    worst = max(res.values())
+    if worst > pol.residual_tol * scale * scale * n * 100:
+        raise IllConditioned(
+            f"Jordan invariants violated (worst residual {worst:.3e})",
+            margins=res,
+        )
 
 
 def additive_jordan(x, pol=None):
@@ -256,14 +250,16 @@ def additive_jordan(x, pol=None):
     e = s - h
     nil = x - s
     _check_sn(x, s, nil, pol)
-    dec = AdditiveJordan(X=x, E=e, H=h, N=nil, spectral=data, policy=pol)
-    worst = max(dec.residuals().values())
-    if worst > pol.residual_tol * scale * scale * n * 100:
-        raise IllConditioned(
-            f"Jordan invariants violated (worst residual {worst:.3e})",
-            margins=dec.residuals(),
-        )
-    return dec
+    res = {
+        "sum": opnorm(x - (e + h + nil)),
+        "commute_EH": opnorm(e @ h - h @ e),
+        "commute_EN": opnorm(e @ nil - nil @ e),
+        "commute_HN": opnorm(h @ nil - nil @ h),
+    }
+    _check_jordan_residuals(res, scale, n, pol)
+    return AdditiveJordan(
+        X=x, E=e, H=h, N=nil, spectral=data, policy=pol, residuals=res
+    )
 
 
 def multiplicative_jordan(g, pol=None):
@@ -291,17 +287,18 @@ def multiplicative_jordan(g, pol=None):
     )
     e = s @ h_inv
     u = np.linalg.solve(s, g)
-    dec = MultiplicativeJordan(
-        g=g, e=e, h=h, u=u, logH=log_h, spectral=data, policy=pol
-    )
     nilpotency_index(u - np.eye(n), pol)  # u - I nilpotent, or raise
-    worst = max(dec.residuals().values())
-    if worst > pol.residual_tol * scale * scale * n * 100:
-        raise IllConditioned(
-            f"Jordan invariants violated (worst residual {worst:.3e})",
-            margins=dec.residuals(),
-        )
-    return dec
+    res = {
+        "product": opnorm(g - e @ h @ u),
+        "commute_eh": opnorm(e @ h - h @ e),
+        "commute_eu": opnorm(e @ u - u @ e),
+        "commute_hu": opnorm(h @ u - u @ h),
+        "exp_logH": opnorm(matrix_exp(log_h) - h),
+    }
+    _check_jordan_residuals(res, scale, n, pol)
+    return MultiplicativeJordan(
+        g=g, e=e, h=h, u=u, logH=log_h, spectral=data, policy=pol, residuals=res
+    )
 
 
 def flow_at(t, dec):

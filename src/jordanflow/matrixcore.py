@@ -67,6 +67,11 @@ class TolerancePolicy:
             raise InputError("all tolerances must be strictly positive")
         if self.cluster_tol < 100 * eps:
             raise InputError("cluster_tol below 100*machine-epsilon is not resolvable")
+        if self.sim_tol >= 0.5:
+            raise InputError(
+                "sim_tol must lie below 0.5: on every Morse component a flag's "
+                "coordinate masses are integers, so 0.5 cannot tell them apart"
+            )
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -117,11 +122,13 @@ class SpectralCluster:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Clustered spectrum of a real matrix with generalized eigenprojections."""
+    """Clustered spectrum of a real matrix with generalized eigenprojections
+    and the residual certificate ``complex_spectrum`` accepted them on."""
 
     matrix: np.ndarray
     clusters: tuple
     cluster_tol: float
+    residuals: dict
 
     @property
     def n(self):
@@ -130,24 +137,6 @@ class SpectralData:
     def eigenvalues(self):
         """All eigenvalues, conjugate pairs included, as a flat array."""
         return np.concatenate([np.asarray(c.members) for c in self.clusters])
-
-    def residuals(self):
-        """Invariant residuals: resolution of identity, idempotency,
-        disjointness, commutation with the source matrix."""
-        a = self.matrix
-        n = self.n
-        projs = [c.projection for c in self.clusters]
-        res = {
-            "sum": opnorm(sum(projs) - np.eye(n)),
-            "idempotent": max(opnorm(p @ p - p) for p in projs),
-            "commute": max(opnorm(a @ p - p @ a) for p in projs),
-        }
-        disjoint = 0.0
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                disjoint = max(disjoint, opnorm(projs[i] @ projs[j]))
-        res["disjoint"] = disjoint
-        return res
 
 
 def _cluster_eigenvalues(w, cluster_tol):
@@ -278,9 +267,17 @@ def complex_spectrum(a, pol=None):
             )
         )
 
-    data = SpectralData(matrix=a, clusters=tuple(clusters), cluster_tol=pol.cluster_tol)
-
-    res = data.residuals()
+    projs = [c.projection for c in clusters]
+    res = {
+        "sum": opnorm(sum(projs) - np.eye(n)),
+        "idempotent": max(opnorm(p @ p - p) for p in projs),
+        "commute": max(opnorm(a @ p - p @ a) for p in projs),
+    }
+    disjoint = 0.0
+    for i in range(len(projs)):
+        for j in range(i + 1, len(projs)):
+            disjoint = max(disjoint, opnorm(projs[i] @ projs[j]))
+    res["disjoint"] = disjoint
     worst = max(res.values())
     if worst > pol.residual_tol * scale * n * 10:
         raise IllConditioned(
@@ -299,7 +296,9 @@ def complex_spectrum(a, pol=None):
             f"cluster_tol={pol.cluster_tol} — widen cluster_tol",
             margins={"projection_norm": pnorm, **res},
         )
-    return data
+    return SpectralData(
+        matrix=a, clusters=tuple(clusters), cluster_tol=pol.cluster_tol, residuals=res
+    )
 
 
 def matrix_exp(a):

@@ -99,7 +99,7 @@ def spectrum_dict(data):
             }
             for c in data.clusters
         ],
-        "residuals": {k: float(v) for k, v in data.residuals().items()},
+        "residuals": {k: float(v) for k, v in data.residuals.items()},
     }
 
 

@@ -61,7 +61,7 @@ def test_criterion_01_normal_form_regression():
     assert np.allclose(dec4.E, [[0, -2, 0], [2, 0, 0], [0, 0, 0]], atol=1e-10)
     assert np.allclose(dec4.H, np.diag([-1.0, -1.0, 2.0]), atol=1e-10)
     assert np.allclose(dec4.N, 0, atol=1e-10)
-    assert max(dec4.residuals().values()) <= 1e-10
+    assert max(dec4.residuals.values()) <= 1e-10
 
     dec5 = additive_jordan(x5(1.0), POL)
     n_expected = np.zeros((3, 3))
@@ -69,7 +69,7 @@ def test_criterion_01_normal_form_regression():
     assert np.allclose(dec5.E, 0, atol=1e-10)
     assert np.allclose(dec5.H, np.diag([-1.0, -1.0, 2.0]), atol=1e-10)
     assert np.allclose(dec5.N, n_expected, atol=1e-10)
-    assert max(dec5.residuals().values()) <= 1e-10
+    assert max(dec5.residuals.values()) <= 1e-10
     report(1, "Jordan factors of X4/X5", t0, 1.0)
 
 
@@ -316,7 +316,7 @@ def test_criterion_09_floquet_suite():
     assert sup <= 1e-6
 
     # rotation-by-pi monodromy: m = 2, real generator
-    m, x_gen = floquet_generator(np.diag([-1.0, -1.0, 1.0]), 1.0, POL)
+    m, x_gen, _ = floquet_generator(np.diag([-1.0, -1.0, 1.0]), 1.0, POL)
     assert m == 2 and np.isrealobj(x_gen)
     assert (
         np.linalg.norm(

@@ -94,6 +94,21 @@ class TestDecompose:
         f = write_matrix(tmp_path / "ill.json", m)
         assert main(["decompose", str(f), "--time", "discrete"]) == 3
 
+    def test_discrete_residuals_computed_once(self, tmp_path, monkeypatch):
+        import jordanflow.jordan as jd
+
+        calls = []
+        matrix_exp = jd.matrix_exp
+        monkeypatch.setattr(
+            jd, "matrix_exp", lambda a: calls.append(1) or matrix_exp(a)
+        )
+        rng = np.random.default_rng(5)
+        f = write_matrix(tmp_path / "g.json", random_sl(3, rng))
+        out = tmp_path / "out.json"
+        assert main(["decompose", str(f), "--time", "discrete", "-o", str(out)]) == 0
+        assert len(calls) == 1  # the exp_logH residual
+        assert "exp_logH" in json.loads(out.read_text())["residuals"]
+
     def test_determinism_byte_identical(self, x4_file, tmp_path):
         o1, o2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["decompose", str(x4_file), "-o", str(o1)])
@@ -161,12 +176,54 @@ class TestAnalyze:
     def test_contradiction_exit_4(self, x4_file, monkeypatch):
         import jordanflow.cli as climod
 
-        def broken(flag, comps, filt):
-            return 0, 1.0  # defect never below sim_tol
+        def broken(flag, component, filt):
+            return 1.0  # defect never below sim_tol
 
-        monkeypatch.setattr(climod, "nearest_component", broken)
+        monkeypatch.setattr(climod, "component_defect", broken)
         code = main(["analyze", str(x4_file), "--flag", "1", "--simulate", "2"])
         assert code == 4
+
+    def test_one_defect_per_start(self, tmp_path, monkeypatch):
+        import jordanflow.cli as climod
+
+        calls = []
+        defect = climod.component_defect
+        monkeypatch.setattr(
+            climod,
+            "component_defect",
+            lambda *a: calls.append(1) or defect(*a),
+        )
+        # 20 components on Gr(3, 6); only the predicted one is scored
+        f = write_matrix(tmp_path / "d.json", np.diag([2.5, 1.5, 0.5, -0.5, -1.5, -2.5]))
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(f), "--flag", "3", "--simulate", "3", "-o", str(out)]
+        assert main(argv) == 0
+        rep = json.loads(out.read_text())
+        assert len(rep["components"]) == 20
+        assert len(calls) == 6
+        sim = rep["simulation"]
+        assert sim["forward_matches"] == 3 and sim["reverse_matches"] == 3
+
+    def test_worst_defect_is_distance_to_prediction(self, x4_file, tmp_path, monkeypatch):
+        import jordanflow.cli as climod
+
+        simulate = climod.simulate_flag
+
+        def backwards(dec, flag, ts):
+            # every start runs backwards, so the forward end flag is the repeller
+            return simulate(dec, flag, [-abs(t) for t in ts])
+
+        monkeypatch.setattr(climod, "simulate_flag", backwards)
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(x4_file), "--flag", "1", "--simulate", "2", "-o", str(out)]
+        assert main(argv) == 4
+        sim = json.loads(out.read_text())["simulation"]
+        assert sim["forward_matches"] == 0 and sim["reverse_matches"] == 2
+        assert sim["worst_defect"] >= 0.5
+
+    def test_sim_tol_half_exit_2(self, x4_file):
+        argv = ["analyze", str(x4_file), "--flag", "1", "--sim-tol", "0.5"]
+        assert main(argv) == 2
 
     def test_classify_flag_file(self, x4_file, tmp_path):
         flag_doc = {"dims": [1], "basis": [[0.0], [0.0], [1.0]]}
@@ -339,6 +396,26 @@ class TestFloquetCmd:
         out = tmp_path / "out.json"
         assert main(["floquet", str(f), "--flag", "1,2", "-o", str(out)]) == 0
         assert calls == []
+
+    def test_generator_residual_not_recomputed(self, tmp_path, monkeypatch):
+        matrix_power = np.linalg.matrix_power
+        from_cli = []
+
+        def counting(a, k):
+            caller = sys._getframe(1).f_globals.get("__name__")
+            from_cli.append(caller == "jordanflow.cli")
+            return matrix_power(a, k)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counting)
+        angle = float(np.pi)
+        a0 = [[0.0, -angle, 0.0], [angle, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        doc = {"T": 1.0, "A0": a0, "harmonics": []}
+        f = self.write_periodic(tmp_path / "rot.json", doc)
+        out = tmp_path / "out.json"
+        assert main(["floquet", str(f), "-o", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["m"] == 2 and rep["residuals"]["generator"] < 1e-9
+        assert from_cli and not any(from_cli)
 
     def test_no_real_log_exit_6(self, tmp_path, monkeypatch):
         import jordanflow.cli as climod

@@ -129,19 +129,19 @@ class TestIntegrateFundamental:
 
 class TestFloquetGenerator:
     def test_identity(self):
-        m, x = floquet_generator(np.eye(3), 1.0)
+        m, x, _ = floquet_generator(np.eye(3), 1.0)
         assert m == 1
         assert np.allclose(x, 0, atol=1e-12)
 
     def test_exp_roundtrip(self):
         mono = matrix_exp(x1(1, 2))
-        m, x = floquet_generator(mono, 1.0)
+        m, x, _ = floquet_generator(mono, 1.0)
         assert m == 1
         assert np.allclose(x, x1(1, 2), atol=1e-9)
 
     def test_rotation_by_pi_needs_doubling(self):
         mono = np.diag([-1.0, -1.0, 1.0])
-        m, x = floquet_generator(mono, 1.0)
+        m, x, _ = floquet_generator(mono, 1.0)
         assert m == 2
         assert np.isrealobj(x)
         assert np.linalg.norm(
@@ -151,7 +151,7 @@ class TestFloquetGenerator:
     def test_quarter_rotation_no_doubling(self):
         block = np.eye(3)
         block[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
-        m, x = floquet_generator(block, 1.0)
+        m, x, _ = floquet_generator(block, 1.0)
         assert m == 1
         dec = additive_jordan(x)
         assert np.linalg.norm(dec.H) < 1e-9 and np.linalg.norm(dec.N) < 1e-9
@@ -162,7 +162,7 @@ class TestFloquetGenerator:
             generators = set()
             for s in range(8):
                 np.random.seed(s)
-                m, x = floquet_generator(SEED27_MONODROMY, 1.0)
+                m, x, _ = floquet_generator(SEED27_MONODROMY, 1.0)
                 generators.add((m, x.tobytes()))
         finally:
             np.random.set_state(state)

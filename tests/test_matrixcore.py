@@ -16,6 +16,7 @@ from jordanflow import (
     spectral_radius,
     unipotent_log,
 )
+from jordanflow.report import spectrum_dict
 from oracles import companion, exp_series, hermite_projection, rotation_scale_exp
 from systems import x1, x2, x3, x4, x5
 
@@ -73,9 +74,20 @@ class TestComplexSpectrum:
         for _ in range(20):
             a = rng.normal(size=(4, 4))
             data = complex_spectrum(a, pol)
-            res = data.residuals()
+            res = data.residuals
             assert max(res.values()) < 1e-8 * max(1.0, np.linalg.norm(a, 2))
             assert sum(c.multiplicity for c in data.clusters) == 4
+
+    def test_report_reads_stored_residuals(self, rng, pol, monkeypatch):
+        import jordanflow.matrixcore as mc
+
+        data = complex_spectrum(rng.normal(size=(4, 4)), pol)
+
+        def refuse(a):
+            raise AssertionError("spectral residuals recomputed")
+
+        monkeypatch.setattr(mc, "opnorm", refuse)
+        assert spectrum_dict(data)["residuals"] == data.residuals
 
     def test_relative_clustering_merges(self, pol):
         a = np.diag([1.0, 1.0 + 1e-10, 5.0])
@@ -198,3 +210,8 @@ class TestTolerancePolicy:
     def test_below_machine_resolution_rejected(self):
         with pytest.raises(InputError):
             TolerancePolicy(cluster_tol=1e-15)
+
+    def test_sim_tol_half_rejected(self):
+        # coordinate masses are integers: 0.5 cannot separate components
+        with pytest.raises(InputError):
+            TolerancePolicy(sim_tol=0.5)
