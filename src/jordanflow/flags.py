@@ -328,25 +328,28 @@ def _tables(row_sums, col_sums):
             yield (first_row,) + rest
 
 
+def _pair_counts(tables, rates):
+    """(component, unstable, stable) dimensions of K tables at once, as three
+    int64 arrays of length K.
+
+    ``below[k, i, j]`` counts the slots of cluster j in increments after i;
+    a pair (i, ja) x (later, jb) lies in the component when ja == jb, is
+    unstable when rates[jb] > rates[ja], and stable otherwise (ties
+    included).  Integer arithmetic throughout, so the counts are exact.
+    """
+    a = np.array(tables, dtype=np.int64)
+    below = a[:, ::-1].cumsum(axis=1)[:, ::-1] - a
+    r = np.asarray(rates, dtype=float)
+    faster = (r[None, :] > r[:, None]).astype(np.int64)
+    dim_c = (a * below).sum(axis=(1, 2))
+    dim_u = ((a @ faster) * below).sum(axis=(1, 2))
+    pairs = (a.sum(axis=2) * below.sum(axis=2)).sum(axis=1)
+    return dim_c, dim_u, pairs - dim_c - dim_u
+
+
 def component_dimensions(assignment, rates):
     """(component, unstable, stable) dimensions by pair counting."""
-    rows = len(assignment)
-    cols = len(rates)
-    dim_c = dim_u = dim_s = 0
-    for i in range(rows):
-        for i2 in range(i + 1, rows):
-            for ja in range(cols):
-                for jb in range(cols):
-                    pairs = assignment[i][ja] * assignment[i2][jb]
-                    if not pairs:
-                        continue
-                    if jb == ja:
-                        dim_c += pairs
-                    elif rates[jb] > rates[ja]:
-                        dim_u += pairs
-                    else:
-                        dim_s += pairs
-    return dim_c, dim_u, dim_s
+    return tuple(int(d[0]) for d in _pair_counts([assignment], rates))
 
 
 def _greedy_assignment(increments, mults, reverse=False):
@@ -381,21 +384,22 @@ def enumerate_morse_components(filt, dims, pol=None):
     increments = dims.increments(filt.n)
     att = _greedy_assignment(increments, filt.mults)
     rep = _greedy_assignment(increments, filt.mults, reverse=True)
-    comps = []
-    for table in sorted(_tables(list(increments), list(filt.mults))):
-        dim_c, dim_u, dim_s = component_dimensions(table, filt.rates)
-        comps.append(
-            FlagMorseComponent(
-                assignment=table,
-                rates=filt.rates,
-                increments=increments,
-                dim_component=dim_c,
-                dim_unstable=dim_u,
-                dim_stable=dim_s,
-                is_attractor=(table == att),
-                is_repeller=(table == rep),
-            )
+    # lexicographic order: row_fills counts each entry up from 0
+    tables = list(_tables(list(increments), list(filt.mults)))
+    dims_c, dims_u, dims_s = (d.tolist() for d in _pair_counts(tables, filt.rates))
+    comps = [
+        FlagMorseComponent(
+            assignment=table,
+            rates=filt.rates,
+            increments=increments,
+            dim_component=dim_c,
+            dim_unstable=dim_u,
+            dim_stable=dim_s,
+            is_attractor=(table == att),
+            is_repeller=(table == rep),
         )
+        for table, dim_c, dim_u, dim_s in zip(tables, dims_c, dims_u, dims_s)
+    ]
     total = dims.manifold_dimension(filt.n)
     assert all(
         c.dim_component + c.dim_unstable + c.dim_stable == total for c in comps

@@ -158,10 +158,6 @@ class AdditiveJordan:
 
     continuous = True
 
-    @property
-    def source(self):
-        return self.X
-
 
 @dataclass(frozen=True)
 class MultiplicativeJordan:
@@ -182,10 +178,6 @@ class MultiplicativeJordan:
     residuals: dict
 
     continuous = False
-
-    @property
-    def source(self):
-        return self.g
 
     def log_u(self):
         return unipotent_log(self.u, self.policy)

@@ -134,10 +134,6 @@ class SpectralData:
     def n(self):
         return self.matrix.shape[0]
 
-    def eigenvalues(self):
-        """All eigenvalues, conjugate pairs included, as a flat array."""
-        return np.concatenate([np.asarray(c.members) for c in self.clusters])
-
 
 def _cluster_eigenvalues(w, cluster_tol):
     """Group eigenvalues by relative distance, conjugate-closed.

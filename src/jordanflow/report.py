@@ -31,35 +31,79 @@ def _fmt_float(x):
 
 def dumps_canonical(obj, indent=0):
     """Serialize to JSON with fixed float formatting; byte-stable."""
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {dumps_canonical(v, indent + 2)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(isinstance(v, (bool, int, float, np.floating, np.integer)) for v in seq)
-        if flat:
-            return "[" + ", ".join(dumps_canonical(v) for v in seq) + "]"
-        items = [f"{pad}  {dumps_canonical(v, indent + 2)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return dumps_canonical(obj.tolist(), indent)
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    return _dumps(obj, indent, {})
+
+
+_FLAT = (bool, int, float, np.floating, np.integer)
+
+
+def _dumps(obj, indent, keys):
+    """The recursion behind ``dumps_canonical``.  Exact built-in types are
+    dispatched on ``type``; subclasses and numpy values take the isinstance
+    chain.  ``keys`` caches the JSON text of ``str`` dict keys.  Each
+    container joins its own fragments: a fragment list for the whole report
+    would hold every piece of it alive until the end and raise the peak
+    memory."""
+    kind = type(obj)
+    if kind is float:
         return _fmt_float(obj)
-    if isinstance(obj, str):
+    if kind is int:
+        return str(obj)
+    if kind is str:
         return json.dumps(obj)
-    raise InputError(f"cannot serialize {type(obj)!r} into a report")
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(obj, dict):
+            kind = dict
+        elif isinstance(obj, (list, tuple)):
+            obj = list(obj)
+        elif isinstance(obj, np.ndarray):
+            return _dumps(obj.tolist(), indent, keys)
+        else:
+            return _scalar(obj)
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = " " * (indent + 2)
+    if kind is dict:
+        parts = ["{\n"]
+        for k, v in obj.items():
+            if type(k) is str:
+                text = keys.get(k)
+                if text is None:
+                    text = keys[k] = json.dumps(k)
+            else:
+                text = json.dumps(str(k))
+            parts += (inner, text, ": ", _dumps(v, indent + 2, keys), ",\n")
+        parts[-1] = "\n" + inner[2:] + "}"
+        return "".join(parts)
+    if all(type(v) is int for v in obj):
+        return "[" + ", ".join(map(str, obj)) + "]"
+    if all(type(v) is float for v in obj):
+        return "[" + ", ".join(map(_fmt_float, obj)) + "]"
+    if all(isinstance(v, _FLAT) for v in obj):
+        return "[" + ", ".join(map(_scalar, obj)) + "]"
+    parts = ["[\n"]
+    for v in obj:
+        parts += (inner, _dumps(v, indent + 2, keys), ",\n")
+    parts[-1] = "\n" + inner[2:] + "]"
+    return "".join(parts)
+
+
+def _scalar(x):
+    """A leaf by the isinstance chain: flat-row elements, numpy scalars and
+    subclasses of the built-in types."""
+    if isinstance(x, bool):
+        return json.dumps(x)
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return _fmt_float(x)
+    if isinstance(x, str):
+        return json.dumps(x)
+    raise InputError(f"cannot serialize {type(x)!r} into a report")
 
 
 def sha256_of(data):

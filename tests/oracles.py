@@ -6,9 +6,12 @@ series instead of Pade, closed forms instead of decompositions).  Tests
 freeze expected values from these, never from the code path under test.
 """
 
+import json
 import math
 
 import numpy as np
+
+from jordanflow.errors import InputError
 
 
 def hermite_projection(a, cluster_values, all_values):
@@ -89,3 +92,71 @@ def contingency_tables_bruteforce(row_sums, col_sums):
         ):
             out.append(tuple(tuple(r) for r in t))
     return out
+
+
+def pair_counts_bruteforce(table, rates):
+    """(component, unstable, stable) dimensions of a Morse component by a
+    quadruple loop over pairs of (increment, cluster) slots: a slot of rate
+    a in an earlier increment paired with a slot of rate b in a later one
+    lies in the component (same cluster), the unstable set (b > a) or the
+    stable set (otherwise, ties included)."""
+    rows = len(table)
+    cols = len(rates)
+    dim_c = dim_u = dim_s = 0
+    for i in range(rows):
+        for i2 in range(i + 1, rows):
+            for ja in range(cols):
+                for jb in range(cols):
+                    pairs = table[i][ja] * table[i2][jb]
+                    if not pairs:
+                        continue
+                    if jb == ja:
+                        dim_c += pairs
+                    elif rates[jb] > rates[ja]:
+                        dim_u += pairs
+                    else:
+                        dim_s += pairs
+    return dim_c, dim_u, dim_s
+
+
+def _fmt_float_reference(x):
+    x = float(x)
+    if math.isnan(x) or math.isinf(x):
+        raise InputError("reports cannot carry NaN/inf")
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    return format(x, ".17g")
+
+
+def dumps_canonical_reference(obj, indent=0):
+    """Canonical report JSON by plain isinstance recursion, one call per
+    value: the byte-level reference for ``report.dumps_canonical``."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  {json.dumps(str(k))}: {dumps_canonical_reference(v, indent + 2)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(v, (bool, int, float, np.floating, np.integer)) for v in seq)
+        if flat:
+            return "[" + ", ".join(dumps_canonical_reference(v) for v in seq) + "]"
+        items = [f"{pad}  {dumps_canonical_reference(v, indent + 2)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, np.ndarray):
+        return dumps_canonical_reference(obj.tolist(), indent)
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float_reference(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise InputError(f"cannot serialize {type(obj)!r} into a report")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jordanflow import (
     Flag,
@@ -26,8 +26,15 @@ from jordanflow import (
     wedge_infinitesimal,
     wedge_representation,
 )
-from jordanflow.flags import component_defect, flag_distance, nearest_component, random_flag
-from oracles import contingency_tables_bruteforce
+from jordanflow.flags import (
+    RateFiltration,
+    _tables,
+    component_defect,
+    flag_distance,
+    nearest_component,
+    random_flag,
+)
+from oracles import contingency_tables_bruteforce, pair_counts_bruteforce
 from systems import E1, E2, E3, rotation, x1, x4, x5
 
 
@@ -192,6 +199,102 @@ class TestComponentDimensions:
         )
         rates = (3.0, 1.0, -1.0, -3.0)
         assert component_dimensions(table, rates) == (0, 0, n * (n - 1) // 2)
+
+
+@st.composite
+def census_cases(draw):
+    """(n, flag dims, cluster multiplicities, cluster rates) for n <= 7.
+    Rates come from a small integer pool, unsorted, so equal rates in
+    different columns (ties) occur."""
+    n = draw(st.integers(2, 7))
+    cuts = draw(st.sets(st.integers(1, n - 1), min_size=1))
+    dims = tuple(sorted(cuts))
+    col_cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    mults = tuple(b - a for a, b in zip([0, *col_cuts], [*col_cuts, n]))
+    rates = tuple(
+        draw(st.lists(st.integers(-3, 3).map(float), min_size=len(mults), max_size=len(mults)))
+    )
+    return n, dims, mults, rates
+
+
+def _filtration(n, mults, rates):
+    """A RateFiltration over the standard frame with the given clusters; it
+    is built directly so that tied rates can be tested."""
+    eye = np.eye(n)
+    starts = np.cumsum([0, *mults])
+    blocks = tuple(eye[:, a:b] for a, b in zip(starts, starts[1:]))
+    return RateFiltration(
+        rates=rates, mults=mults, blocks=blocks, transform=eye, continuous=True
+    )
+
+
+class TestPairCounts:
+    """Pair counting against the quadruple-loop oracle."""
+
+    @given(case=census_cases(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_component_dimensions_matches_oracle(self, case, data):
+        n, dims, mults, rates = case
+        increments = FlagType(dims).increments(n)
+        # a random slot permutation reaches every table with these margins
+        perm = data.draw(st.permutations(range(n)))
+        rows = np.repeat(np.arange(len(increments)), increments)
+        cols = np.repeat(np.arange(len(mults)), mults)[perm]
+        table = [[0] * len(mults) for _ in increments]
+        for i, j in zip(rows, cols):
+            table[i][j] += 1
+        table = tuple(tuple(r) for r in table)
+        assert component_dimensions(table, rates) == pair_counts_bruteforce(table, rates)
+
+    @given(case=census_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_component_matches_oracle(self, case):
+        n, dims, mults, rates = case
+        comps = enumerate_morse_components(_filtration(n, mults, rates), dims)
+        assignments = [c.assignment for c in comps]
+        assert assignments == sorted(assignments)
+        for c in comps:
+            assert (c.dim_component, c.dim_unstable, c.dim_stable) == (
+                pair_counts_bruteforce(c.assignment, rates)
+            )
+            assert all(type(d) is int for d in (c.dim_component, c.dim_unstable, c.dim_stable))
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            (0.9, 0.55, 0.3, 0.05, -0.2, -0.6, -1.0),
+            (1.0, -1.0, 1.0, 0.0, -1.0, 0.0, 1.0),
+        ],
+    )
+    def test_full_flag_n7_matches_oracle(self, rates):
+        comps = enumerate_morse_components(_filtration(7, (1,) * 7, rates), range(1, 7))
+        assert len(comps) == 5040
+        for c in comps:
+            assert (c.dim_component, c.dim_unstable, c.dim_stable) == (
+                pair_counts_bruteforce(c.assignment, rates)
+            )
+
+
+class TestTableOrder:
+    """The census lists tables in lexicographic order, as generated."""
+
+    @given(
+        rows=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tables_are_generated_sorted(self, rows, data):
+        n = sum(rows)
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=2)) if n > 1 else [])
+        cols = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        # the brute force scans this many candidate tables
+        assume(math.prod(min(r, c) + 1 for r in rows for c in cols) <= 20_000)
+        assert list(_tables(rows, cols)) == sorted(contingency_tables_bruteforce(rows, cols))
+
+    def test_full_flag_n7_sorted(self):
+        tables = list(_tables([1] * 7, [1] * 7))
+        assert len(set(tables)) == len(tables) == 5040
+        assert tables == sorted(tables)
 
 
 class TestBruhatCell:
