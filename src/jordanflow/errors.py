@@ -50,7 +50,7 @@ class DimensionTooLarge(JordanFlowError):
 
 
 class GridTooLarge(JordanFlowError):
-    """Chain-oracle grid is infeasible (dimension or resolution)."""
+    """Chain-oracle grid is infeasible (dimension, resolution or pair budget)."""
 
 
 class RankAmbiguous(JordanFlowError):

@@ -48,6 +48,13 @@ _SIGN_EPS = 1e-12
 
 MAX_GRID = 20000
 
+#: bytes one leg of ``chain_oracle`` may spend on candidate pairs
+CHAIN_PAIR_BUDGET = 512 * 2**20
+#: peak bytes per candidate pair, measured with ru_maxrss on P^2: the tree's
+#: 24-byte pair record and its internal copy, the folded column, both
+#: gathered rows and the cosine
+_CANDIDATE_BYTES = 96
+
 
 class ProjectivePoint:
     """A line in R^n: unit representative with the first nonzero coordinate
@@ -438,7 +445,8 @@ class ChainGraph:
     chains need arbitrarily long legs, a single leg time provably misses
     unipotent recurrence).  ``marked`` flags grid points lying on a directed
     cycle, i.e. in a strongly connected component witnessing an
-    (eps, T)-chain back to itself.
+    (eps, T)-chain back to itself.  ``edges`` is the adjacency as a
+    canonical (sorted, duplicate-free) bool CSR matrix, row -> column.
     """
 
     points: np.ndarray
@@ -479,6 +487,24 @@ def projective_grid(n, resolution):
     return pts * sign[:, None]
 
 
+def _abs_cos(a, b):
+    """|a_k . b_k| row by row, bitwise equal to the entries of |A @ B.T|
+    (a stacked matmul rounds like the gemm; einsum and (a*b).sum do not)."""
+    return np.abs(np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0])
+
+
+def _chain_candidates(n, resolution, eps):
+    """Candidate pairs one leg's tree query returns: N * (N*f + 1), where f
+    is the fraction of P^(n-1) within chordal distance eps of a point."""
+    if eps >= math.sqrt(2.0):
+        f = 1.0
+    elif n == 2:
+        f = 4.0 / math.pi * math.asin(eps / 2.0)
+    else:
+        f = eps * eps / 2.0
+    return resolution * (resolution * f + 1.0)
+
+
 def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
     """Mark grid points that admit an (eps, T)-chain back to themselves.
 
@@ -486,6 +512,11 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
     marks strongly connected components containing a cycle.  As resolution
     grows and eps shrinks the marked set converges to the chain recurrent
     set fix(h^t) on the tested families.
+
+    Each leg's edges come from one k-d tree query of its images against the
+    grid and its negatives, so the cost is O(N * legs) tree queries and
+    O(edges) memory; an input whose estimated candidate pairs per leg exceed
+    ``CHAIN_PAIR_BUDGET`` bytes is refused before anything is allocated.
     """
     pol = pol or DEFAULT_POLICY
     dec = _as_decomposition(dec)
@@ -494,11 +525,27 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
         raise GridTooLarge(f"chain oracle supports n in (2, 3); got n={n}")
     if not 8 <= resolution <= MAX_GRID:
         raise GridTooLarge(f"resolution {resolution} outside 8..{MAX_GRID}")
-    if eps <= 0 or min_time <= 0:
+    if not (eps > 0 and min_time > 0):
         raise InputError("eps and min_time must be positive")
+    if leg_doublings < 0:
+        raise InputError(f"leg_doublings must be >= 0; got {leg_doublings}")
+    pair_bytes = _chain_candidates(n, resolution, eps) * _CANDIDATE_BYTES
+    if pair_bytes > CHAIN_PAIR_BUDGET:
+        raise GridTooLarge(
+            f"~{pair_bytes / 2**20:.0f} MiB of candidate pairs per leg at "
+            f"resolution {resolution}, eps {eps}; budget "
+            f"{CHAIN_PAIR_BUDGET / 2**20:.0f} MiB"
+        )
+    # imported here: scipy.spatial adds ~0.2 s to every CLI start
+    from scipy.spatial import cKDTree
 
     pts = projective_grid(n, resolution)
     g1 = _step_matrix(dec, min_time)
+    # a line [p] is within chordal eps of an image iff p or -p is.  The
+    # radius is padded past the cosine's round-off, so every pair the strict
+    # test below accepts is a candidate; from sqrt(2) on, every pair is one.
+    tree = cKDTree(np.vstack([pts, -pts]))
+    radius = min(eps, math.sqrt(2.0)) * (1.0 + 1e-7) + 1e-7
 
     cos_thresh = 1.0 - 0.5 * eps * eps
     adj = sp.csr_matrix((resolution, resolution), dtype=bool)
@@ -509,12 +556,18 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
         leg_times.append(t)
         img = pts @ step.T
         img /= np.linalg.norm(img, axis=1)[:, None]
-        cos = np.abs(img @ pts.T)
-        adj = (adj + sp.csr_matrix(cos > cos_thresh)).tocsr()
+        pairs = cKDTree(img).sparse_distance_matrix(tree, radius, output_type="ndarray")
+        rows = pairs["i"]
+        cols = pairs["j"] % resolution
+        keep = _abs_cos(img[rows], pts[cols]) > cos_thresh
+        leg = sp.csr_matrix(
+            (np.ones(int(keep.sum()), dtype=bool), (rows[keep], cols[keep])),
+            shape=(resolution, resolution),
+        )
+        adj = (adj + leg).tocsr()
         step = step @ step
         step /= max(np.abs(step).max(), 1e-300)
         t *= 2.0
-    del cos, img
 
     ncomp, labels = connected_components(adj, directed=True, connection="strong")
     size = np.bincount(labels, minlength=ncomp)
@@ -524,11 +577,15 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
     cyclic[labels[selfloop]] = True
     marked = cyclic[labels]
 
-    # covering radius of the grid: max nearest-neighbor chordal distance
-    cos_grid = np.abs(pts @ pts.T)
-    np.fill_diagonal(cos_grid, -1.0)
-    nn_cos = cos_grid.max(axis=1)
-    covering = float(np.sqrt(max(0.0, 2.0 - 2.0 * nn_cos.min())))
+    # covering radius of the grid: max nearest-neighbor chordal distance.
+    # A point's nearest other line is among its 3 nearest +- tree neighbors
+    # besides itself; the largest |cos| of the 3 settles near-ties as the
+    # gemm would.
+    _, near = tree.query(pts, k=4)
+    near %= resolution
+    nn_cos = _abs_cos(np.repeat(pts, 4, axis=0), pts[near.ravel()]).reshape(-1, 4)
+    nn_cos[near == np.arange(resolution)[:, None]] = -1.0
+    covering = float(np.sqrt(max(0.0, 2.0 - 2.0 * nn_cos.max(axis=1).min())))
 
     return ChainGraph(
         points=pts,

@@ -10,6 +10,8 @@ import json
 import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from jordanflow.errors import InputError
 
@@ -160,3 +162,39 @@ def dumps_canonical_reference(obj, indent=0):
     if isinstance(obj, str):
         return json.dumps(obj)
     raise InputError(f"cannot serialize {type(obj)!r} into a report")
+
+
+def chain_graph_dense(pts, g1, eps, leg_doublings):
+    """The (eps, T)-chain graph from one dense N x N cosine matrix per leg.
+
+    The construction ``projective.chain_oracle`` used before its k-d tree:
+    ``pts`` are the grid's unit rows, ``g1`` the flow over the first leg.
+    Returns (bool CSR adjacency, marked, covering radius).
+    """
+    resolution = len(pts)
+    cos_thresh = 1.0 - 0.5 * eps * eps
+    adj = sp.csr_matrix((resolution, resolution), dtype=bool)
+    step = g1.copy()
+    for _ in range(leg_doublings + 1):
+        img = pts @ step.T
+        img /= np.linalg.norm(img, axis=1)[:, None]
+        cos = np.abs(img @ pts.T)
+        adj = (adj + sp.csr_matrix(cos > cos_thresh)).tocsr()
+        step = step @ step
+        step /= max(np.abs(step).max(), 1e-300)
+    del cos, img
+
+    ncomp, labels = connected_components(adj, directed=True, connection="strong")
+    size = np.bincount(labels, minlength=ncomp)
+    selfloop = adj.diagonal()
+    cyclic = np.zeros(ncomp, dtype=bool)
+    cyclic[size >= 2] = True
+    cyclic[labels[selfloop]] = True
+    marked = cyclic[labels]
+
+    # covering radius of the grid: max nearest-neighbor chordal distance
+    cos_grid = np.abs(pts @ pts.T)
+    np.fill_diagonal(cos_grid, -1.0)
+    nn_cos = cos_grid.max(axis=1)
+    covering = float(np.sqrt(max(0.0, 2.0 - 2.0 * nn_cos.min())))
+    return adj, marked, covering

@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,12 @@ import jsonschema
 
 import jordanflow
 from jordanflow.cli import main
+from jordanflow.projective import (
+    CHAIN_PAIR_BUDGET,
+    MAX_GRID,
+    _CANDIDATE_BYTES,
+    _chain_candidates,
+)
 from jordanflow.report import dumps_canonical, load_schema
 from systems import random_sl, x4, x5
 
@@ -332,6 +340,67 @@ class TestChainOracle:
             )
             == 5
         )
+
+
+class TestChainOracleRefusals:
+    """Refusals come before the grid or any pair is allocated."""
+
+    def run_traced(self, tmp_path, *args):
+        f = write_matrix(tmp_path / "u.json", np.array([[1.0, 1], [0, 1]]))
+        tracemalloc.start()
+        try:
+            code = main(["chain-oracle", str(f), "--time", "discrete", *args])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return code, peak
+
+    def test_negative_leg_doublings_exit_2(self, tmp_path):
+        code, _ = self.run_traced(tmp_path, "--resolution", "400", "--leg-doublings", "-1")
+        assert code == 2
+
+    def test_nan_eps_exit_2(self, tmp_path):
+        code, _ = self.run_traced(tmp_path, "--resolution", "400", "--eps", "nan")
+        assert code == 2
+
+    def test_pair_budget_plus_one_exit_5(self, tmp_path):
+        """eps >= sqrt(2) makes every pair a candidate: the largest grid
+        within budget is the last N whose N (N + 1) pairs fit it."""
+        pairs = CHAIN_PAIR_BUDGET // _CANDIDATE_BYTES
+        limit = math.isqrt(pairs)
+        while limit * (limit + 1) > pairs:
+            limit -= 1
+        assert _chain_candidates(2, limit, 2.0) * _CANDIDATE_BYTES <= CHAIN_PAIR_BUDGET
+        assert _chain_candidates(2, limit + 1, 2.0) * _CANDIDATE_BYTES > CHAIN_PAIR_BUDGET
+        res = str(limit + 1)
+        code, peak = self.run_traced(tmp_path, "--resolution", res, "--eps", "2")
+        assert code == 5
+        assert peak < 10 * 2**20
+
+    def test_pair_budget_eps_at_max_grid_exit_5(self, tmp_path):
+        """At MAX_GRID on P^1 the budget binds near eps 0.0219."""
+        eps = 0.0219
+        assert _chain_candidates(2, MAX_GRID, eps) * _CANDIDATE_BYTES > CHAIN_PAIR_BUDGET
+        code, peak = self.run_traced(
+            tmp_path, "--resolution", str(MAX_GRID), "--eps", str(eps)
+        )
+        assert code == 5
+        assert peak < 10 * 2**20
+
+    def test_cli_import_leaves_scipy_spatial_unloaded(self):
+        """The k-d tree is imported inside chain_oracle, so plain CLI start-up
+        does not pay for scipy.spatial."""
+        src = str(Path(jordanflow.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, jordanflow.cli; print('scipy.spatial' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestFloquetCmd:

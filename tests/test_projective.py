@@ -21,7 +21,14 @@ from jordanflow import (
     unipotent_limit,
     unstable_set_index,
 )
-from systems import E1, E2, E3, rotation, x2, x4, x5
+from jordanflow.projective import (
+    _abs_cos,
+    _chain_candidates,
+    _step_matrix,
+    projective_grid,
+)
+import oracles
+from systems import E1, E2, E3, random_sl, random_sl_alg, rotation, x2, x4, x5
 
 finite_vectors = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
@@ -353,3 +360,106 @@ class TestChainOracle:
         dec = multiplicative_jordan(np.diag([2.0, 0.5]), pol)
         with pytest.raises(GridTooLarge):
             chain_oracle(dec, 10**6, 0.01, 1, pol)
+
+
+def _random_decomposition(n, seed, pol):
+    """A seeded random flow on P^(n-1): continuous for even seeds,
+    discrete for odd ones."""
+    rng = np.random.default_rng([n, seed])
+    if seed % 2:
+        return multiplicative_jordan(random_sl(n, rng), pol)
+    return additive_jordan(random_sl_alg(n, rng), pol)
+
+
+def _first_leg_images(pts, dec):
+    img = pts @ _step_matrix(dec, 1.0).T
+    return img / np.linalg.norm(img, axis=1)[:, None]
+
+
+class TestChainGraphMatchesDense:
+    """The k-d tree chain graph equals the dense construction kept in
+    ``oracles.chain_graph_dense``: same edges, marks and covering radius."""
+
+    def assert_matches(self, dec, n, resolution, eps, pol):
+        cg = chain_oracle(dec, resolution, eps, 1.0, pol)
+        pts = projective_grid(n, resolution)
+        adj, marked, covering = oracles.chain_graph_dense(
+            pts, _step_matrix(dec, 1.0), eps, len(cg.leg_times) - 1
+        )
+        assert cg.edges.dtype == bool and cg.edges.has_canonical_format
+        assert cg.edges.shape == adj.shape
+        assert (cg.edges != adj).nnz == 0
+        assert np.array_equal(cg.marked, marked)
+        assert cg.covering_radius == covering
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "resolution,seed", [(8, 0), (9, 1), (37, 2), (150, 3), (311, 4), (600, 5)]
+    )
+    def test_random_flows(self, n, resolution, seed, pol):
+        dec = _random_decomposition(n, seed, pol)
+        eps = float(np.random.default_rng([n, seed, 1]).uniform(0.01, 0.5))
+        self.assert_matches(dec, n, resolution, eps, pol)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("resolution,seed", [(8, 6), (64, 7), (257, 8), (600, 9)])
+    def test_eps_on_the_boundary(self, n, resolution, seed, pol):
+        """eps = sqrt(2 - 2c) for an actual image-grid or grid-grid cosine c,
+        raised by ulps until that pair passes the strict test
+        c > 1 - eps^2/2, so it sits on the threshold's accepting side."""
+        dec = _random_decomposition(n, seed, pol)
+        pts = projective_grid(n, resolution)
+        rng = np.random.default_rng([n, seed, 2])
+        for source in (_first_leg_images(pts, dec), pts):
+            cos = np.abs(source @ pts.T)
+            for _ in range(3):
+                i, j = rng.integers(resolution, size=2)
+                if i == j:
+                    j = (j + 1) % resolution
+                eps = math.sqrt(2.0 - 2.0 * cos[i, j])
+                while not cos[i, j] > 1.0 - 0.5 * eps * eps:
+                    eps = math.nextafter(eps, math.inf)
+                assert cos[i, j] - (1.0 - 0.5 * eps * eps) <= 1e-15
+                self.assert_matches(dec, n, resolution, eps, pol)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eps", [1e-9, 1.3, math.sqrt(2.0), 1.5, 2.0, 3.0])
+    def test_extreme_eps(self, n, eps, pol):
+        """Tiny eps keeps only pairs whose rounded cosine beats 1 - eps^2/2;
+        eps >= sqrt(2) joins every pair."""
+        for dec in (
+            multiplicative_jordan(np.eye(n), pol),
+            _random_decomposition(n, 10, pol),
+        ):
+            self.assert_matches(dec, n, 40, eps, pol)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_abs_cos_is_bitwise_gemm(self, n, pol):
+        pts = projective_grid(n, 600)
+        img = _first_leg_images(pts, _random_decomposition(n, 11, pol))
+        i, j = np.divmod(np.arange(600 * 600), 600)
+        for a in (img, pts):
+            got = _abs_cos(a[i], pts[j]).reshape(600, 600)
+            assert np.array_equal(got, np.abs(a @ pts.T))
+
+
+class TestChainPairBudget:
+    def test_estimate_bounds_one_leg(self, pol):
+        """One leg's edges never outnumber the candidate estimate."""
+        for n, mat in ((2, np.array([[0.0, -1.3], [1.3, 0.0]])), (3, x5(1.0))):
+            dec = additive_jordan(mat, pol)
+            for eps in (0.05, 0.3, 1.0):
+                cg = chain_oracle(dec, 1000, eps, 1.0, pol, leg_doublings=0)
+                assert cg.edges.nnz <= _chain_candidates(n, 1000, eps)
+
+    def test_estimate_is_continuous_at_sqrt2(self):
+        for n in (2, 3):
+            below = _chain_candidates(n, 1000, math.sqrt(2.0) * (1 - 1e-12))
+            assert below == pytest.approx(_chain_candidates(n, 1000, 2.0), rel=1e-9)
+
+    def test_negative_leg_doublings(self, pol):
+        dec = multiplicative_jordan(np.diag([2.0, 0.5]), pol)
+        with pytest.raises(InputError):
+            chain_oracle(dec, 100, 0.05, 1, pol, leg_doublings=-1)
+        cg = chain_oracle(dec, 100, 0.05, 1, pol, leg_doublings=0)
+        assert cg.leg_times == (1.0,)
