@@ -48,12 +48,15 @@ _SIGN_EPS = 1e-12
 
 MAX_GRID = 20000
 
-#: bytes one leg of ``chain_oracle`` may spend on candidate pairs
+#: bytes ``chain_oracle`` may spend on the edges of its chain graph
 CHAIN_PAIR_BUDGET = 512 * 2**20
-#: peak bytes per candidate pair, measured with ru_maxrss on P^2: the tree's
-#: 24-byte pair record and its internal copy, the folded column, both
-#: gathered rows and the cosine
-_CANDIDATE_BYTES = 96
+#: peak bytes per edge, measured with ru_maxrss on P^1 and P^2 at N = 3000
+#: with every pair an edge: the adjacency before and after a leg is added,
+#: the leg's block CSRs and their stack, and one block's transients
+_EDGE_BYTES = 24
+#: candidate pairs one tree query may return; bounds the transient pair
+#: records, gathered rows and cosines of a block of image rows
+_BLOCK_PAIRS = 2**18
 
 
 class ProjectivePoint:
@@ -494,8 +497,9 @@ def _abs_cos(a, b):
 
 
 def _chain_candidates(n, resolution, eps):
-    """Candidate pairs one leg's tree query returns: N * (N*f + 1), where f
-    is the fraction of P^(n-1) within chordal distance eps of a point."""
+    """Candidate pairs one leg's tree queries return: N * (N*f + 1), where f
+    is the fraction of P^(n-1) within chordal distance eps of a point.  A
+    leg's edges are the candidates that pass the strict cosine test."""
     if eps >= math.sqrt(2.0):
         f = 1.0
     elif n == 2:
@@ -503,6 +507,39 @@ def _chain_candidates(n, resolution, eps):
     else:
         f = eps * eps / 2.0
     return resolution * (resolution * f + 1.0)
+
+
+def _leg_edges(img, pts, tree, radius, cos_thresh, block_rows):
+    """Bool CSR of the pairs (i, j) with |img_i . pts_j| > cos_thresh.
+
+    Image rows are queried against the +-grid ``tree`` in blocks of
+    ``block_rows``, so the pair records of one block are alive at a time.
+    A row that is not finite (a point the step matrix sent to 0) gets no
+    edges, as the NaN cosines of a dense product would give it.
+    """
+    from scipy.spatial import cKDTree  # loaded by chain_oracle already
+
+    resolution = len(pts)
+    blocks = []
+    for start in range(0, resolution, block_rows):
+        sub = img[start : start + block_rows]
+        rows = cols = np.empty(0, dtype=np.intp)
+        live = np.flatnonzero(np.isfinite(sub).all(axis=1))
+        if live.size:
+            pairs = cKDTree(sub[live]).sparse_distance_matrix(
+                tree, radius, output_type="ndarray"
+            )
+            rows = live[pairs["i"]]
+            cols = pairs["j"] % resolution
+            keep = _abs_cos(sub[rows], pts[cols]) > cos_thresh
+            rows, cols = rows[keep], cols[keep]
+        blocks.append(
+            sp.csr_matrix(
+                (np.ones(len(rows), dtype=bool), (rows, cols)),
+                shape=(len(sub), resolution),
+            )
+        )
+    return sp.vstack(blocks, format="csr")
 
 
 def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
@@ -513,10 +550,11 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
     grows and eps shrinks the marked set converges to the chain recurrent
     set fix(h^t) on the tested families.
 
-    Each leg's edges come from one k-d tree query of its images against the
-    grid and its negatives, so the cost is O(N * legs) tree queries and
-    O(edges) memory; an input whose estimated candidate pairs per leg exceed
-    ``CHAIN_PAIR_BUDGET`` bytes is refused before anything is allocated.
+    Each leg's edges come from k-d tree queries of its images against the
+    grid and its negatives, a bounded block of image rows at a time, so the
+    cost is O(N * legs) tree queries and O(edges) memory.  An input whose
+    estimated edges, min(N^2, legs * candidates per leg), would take more
+    than ``CHAIN_PAIR_BUDGET`` bytes is refused before anything is allocated.
     """
     pol = pol or DEFAULT_POLICY
     dec = _as_decomposition(dec)
@@ -529,13 +567,15 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
         raise InputError("eps and min_time must be positive")
     if leg_doublings < 0:
         raise InputError(f"leg_doublings must be >= 0; got {leg_doublings}")
-    pair_bytes = _chain_candidates(n, resolution, eps) * _CANDIDATE_BYTES
-    if pair_bytes > CHAIN_PAIR_BUDGET:
+    candidates = _chain_candidates(n, resolution, eps)
+    edges = min(resolution * resolution, (leg_doublings + 1) * candidates)
+    if edges * _EDGE_BYTES > CHAIN_PAIR_BUDGET:
         raise GridTooLarge(
-            f"~{pair_bytes / 2**20:.0f} MiB of candidate pairs per leg at "
-            f"resolution {resolution}, eps {eps}; budget "
-            f"{CHAIN_PAIR_BUDGET / 2**20:.0f} MiB"
+            f"~{edges * _EDGE_BYTES / 2**20:.0f} MiB of chain-graph edges at "
+            f"resolution {resolution}, eps {eps}, {leg_doublings + 1} legs; "
+            f"budget {CHAIN_PAIR_BUDGET / 2**20:.0f} MiB"
         )
+    block_rows = max(1, int(_BLOCK_PAIRS * resolution // candidates))
     # imported here: scipy.spatial adds ~0.2 s to every CLI start
     from scipy.spatial import cKDTree
 
@@ -543,7 +583,7 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
     g1 = _step_matrix(dec, min_time)
     # a line [p] is within chordal eps of an image iff p or -p is.  The
     # radius is padded past the cosine's round-off, so every pair the strict
-    # test below accepts is a candidate; from sqrt(2) on, every pair is one.
+    # test accepts is a candidate; from sqrt(2) on, every pair is one.
     tree = cKDTree(np.vstack([pts, -pts]))
     radius = min(eps, math.sqrt(2.0)) * (1.0 + 1e-7) + 1e-7
 
@@ -556,15 +596,7 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
         leg_times.append(t)
         img = pts @ step.T
         img /= np.linalg.norm(img, axis=1)[:, None]
-        pairs = cKDTree(img).sparse_distance_matrix(tree, radius, output_type="ndarray")
-        rows = pairs["i"]
-        cols = pairs["j"] % resolution
-        keep = _abs_cos(img[rows], pts[cols]) > cos_thresh
-        leg = sp.csr_matrix(
-            (np.ones(int(keep.sum()), dtype=bool), (rows[keep], cols[keep])),
-            shape=(resolution, resolution),
-        )
-        adj = (adj + leg).tocsr()
+        adj = (adj + _leg_edges(img, pts, tree, radius, cos_thresh, block_rows)).tocsr()
         step = step @ step
         step /= max(np.abs(step).max(), 1e-300)
         t *= 2.0

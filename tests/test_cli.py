@@ -17,7 +17,7 @@ from jordanflow.cli import main
 from jordanflow.projective import (
     CHAIN_PAIR_BUDGET,
     MAX_GRID,
-    _CANDIDATE_BYTES,
+    _EDGE_BYTES,
     _chain_candidates,
 )
 from jordanflow.report import dumps_canonical, load_schema
@@ -364,28 +364,41 @@ class TestChainOracleRefusals:
         assert code == 2
 
     def test_pair_budget_plus_one_exit_5(self, tmp_path):
-        """eps >= sqrt(2) makes every pair a candidate: the largest grid
-        within budget is the last N whose N (N + 1) pairs fit it."""
-        pairs = CHAIN_PAIR_BUDGET // _CANDIDATE_BYTES
-        limit = math.isqrt(pairs)
-        while limit * (limit + 1) > pairs:
-            limit -= 1
-        assert _chain_candidates(2, limit, 2.0) * _CANDIDATE_BYTES <= CHAIN_PAIR_BUDGET
-        assert _chain_candidates(2, limit + 1, 2.0) * _CANDIDATE_BYTES > CHAIN_PAIR_BUDGET
+        """eps >= sqrt(2) makes every pair an edge: the largest grid within
+        budget is the last N whose N^2 edges fit it."""
+        limit = math.isqrt(CHAIN_PAIR_BUDGET // _EDGE_BYTES)
+        assert limit * limit * _EDGE_BYTES <= CHAIN_PAIR_BUDGET
+        assert (limit + 1) ** 2 * _EDGE_BYTES > CHAIN_PAIR_BUDGET
         res = str(limit + 1)
         code, peak = self.run_traced(tmp_path, "--resolution", res, "--eps", "2")
         assert code == 5
         assert peak < 10 * 2**20
 
-    def test_pair_budget_eps_at_max_grid_exit_5(self, tmp_path):
-        """At MAX_GRID on P^1 the budget binds near eps 0.0219."""
-        eps = 0.0219
-        assert _chain_candidates(2, MAX_GRID, eps) * _CANDIDATE_BYTES > CHAIN_PAIR_BUDGET
-        code, peak = self.run_traced(
-            tmp_path, "--resolution", str(MAX_GRID), "--eps", str(eps)
-        )
+    def test_pair_budget_counts_legs_exit_5(self, tmp_path):
+        """At MAX_GRID on P^1, eps 0.0073, the 12 default legs' edges exceed
+        the budget while one leg's fit it and is served."""
+        eps = 0.0073
+        one_leg = _chain_candidates(2, MAX_GRID, eps) * _EDGE_BYTES
+        assert one_leg <= CHAIN_PAIR_BUDGET < 12 * one_leg
+        args = ("--resolution", str(MAX_GRID), "--eps", str(eps))
+        code, peak = self.run_traced(tmp_path, *args)
         assert code == 5
         assert peak < 10 * 2**20
+        out = tmp_path / "out.json"
+        code, _ = self.run_traced(tmp_path, *args, "--leg-doublings", "0", "-o", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["marked_count"] == MAX_GRID
+
+    def test_point_sent_to_zero_exit_0(self, tmp_path):
+        """diag(0.5, 2): by the last leg the normalized step underflows to
+        diag(0, 1) and sends the grid point (1, 0) to 0.  That point gets no
+        edges; the report is still written."""
+        f = write_matrix(tmp_path / "h.json", np.diag([0.5, 2.0]))
+        out = tmp_path / "out.json"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            code = main(["chain-oracle", str(f), "--time", "discrete", "-o", str(out)])
+        assert code == 0
+        jsonschema.validate(json.loads(out.read_text()), load_schema("chain_oracle"))
 
     def test_cli_import_leaves_scipy_spatial_unloaded(self):
         """The k-d tree is imported inside chain_oracle, so plain CLI start-up

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from jordanflow import (
@@ -21,6 +22,7 @@ from jordanflow import (
     unipotent_limit,
     unstable_set_index,
 )
+from jordanflow import projective
 from jordanflow.projective import (
     _abs_cos,
     _chain_candidates,
@@ -433,6 +435,59 @@ class TestChainGraphMatchesDense:
         ):
             self.assert_matches(dec, n, 40, eps, pol)
 
+    @pytest.mark.parametrize(
+        "n,mat,resolution",
+        [
+            (2, np.diag([0.5, 2.0]), 400),
+            (3, np.diag([-1.0, -1.0, 2.0]), 201),
+            (3, np.diag([-1.0, -1.0, 2.0]), 999),
+        ],
+    )
+    def test_points_sent_to_zero(self, n, mat, resolution, pol):
+        """Late legs' steps underflow to a rank-one matrix that sends grid
+        points to 0: (1, 0) on P^1, and on P^2 the equator z = 0 that an odd
+        Fibonacci grid contains.  Those rows get no edges."""
+        if n == 2:
+            dec = multiplicative_jordan(mat, pol)
+        else:
+            dec = additive_jordan(mat, pol)
+        step = _step_matrix(dec, 1.0)
+        for _ in range(11):
+            step = step @ step
+            step /= np.abs(step).max()
+        img = projective_grid(n, resolution) @ step.T
+        assert (np.linalg.norm(img, axis=1) == 0).any()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.assert_matches(dec, n, resolution, 0.05, pol)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_leg_rows_not_finite(self, n, pol):
+        """One leg's CSR equals the dense strict test row by row when some
+        image rows are NaN and rows go in blocks of 16."""
+        from scipy.spatial import cKDTree
+
+        pts = projective_grid(n, 300)
+        img = _first_leg_images(pts, _random_decomposition(n, 14, pol))
+        img[[0, 7, 150, 151, 299]] = np.nan
+        eps = 0.3
+        tree = cKDTree(np.vstack([pts, -pts]))
+        radius = eps * (1.0 + 1e-7) + 1e-7
+        leg = projective._leg_edges(img, pts, tree, radius, 1.0 - 0.5 * eps * eps, 16)
+        with np.errstate(invalid="ignore"):
+            dense = np.abs(img @ pts.T) > 1.0 - 0.5 * eps * eps
+        assert leg.dtype == bool and leg.has_canonical_format
+        assert (leg != sp.csr_matrix(dense)).nnz == 0
+        assert dense[[1, 149, 152, 298]].any(axis=1).all()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_many_blocks(self, n, pol, monkeypatch):
+        """Blocks of a few image rows give the same graph as one block."""
+        monkeypatch.setattr(projective, "_BLOCK_PAIRS", 50)
+        for seed in (12, 13):
+            dec = _random_decomposition(n, seed, pol)
+            self.assert_matches(dec, n, 311, 0.2, pol)
+            self.assert_matches(dec, n, 97, 1.5, pol)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_abs_cos_is_bitwise_gemm(self, n, pol):
         pts = projective_grid(n, 600)
@@ -457,9 +512,7 @@ class TestChainPairBudget:
             below = _chain_candidates(n, 1000, math.sqrt(2.0) * (1 - 1e-12))
             assert below == pytest.approx(_chain_candidates(n, 1000, 2.0), rel=1e-9)
 
-    def test_negative_leg_doublings(self, pol):
+    def test_zero_leg_doublings_is_one_leg(self, pol):
         dec = multiplicative_jordan(np.diag([2.0, 0.5]), pol)
-        with pytest.raises(InputError):
-            chain_oracle(dec, 100, 0.05, 1, pol, leg_doublings=-1)
         cg = chain_oracle(dec, 100, 0.05, 1, pol, leg_doublings=0)
         assert cg.leg_times == (1.0,)
