@@ -162,7 +162,7 @@ def parse_flag_input(path, n):
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise InputError(f"basis entries must be plain numbers, got {x!r}")
         rows.append([float(x) for x in r])
-    flag = Flag(np.array(rows), FlagType(tuple(dims)), input_tol=1e-8)
+    flag = Flag(np.array(rows), FlagType(tuple(dims)))
     return flag, sha256_of(raw)
 
 
@@ -259,6 +259,10 @@ def cmd_analyze(args):
     dims = _parse_dims(args.flag)
     dims.validate_for(input_echo["n"])
     input_echo["flag_dims"] = list(dims.dims)
+    if args.simulate < 0:
+        raise InputError(f"--simulate K={args.simulate} must be nonnegative")
+    if not np.isfinite(args.horizon):
+        raise InputError(f"--horizon {args.horizon} must be finite")
     warnings = []
 
     dec = _decompose(mat, pol, args.time)

@@ -60,6 +60,10 @@ __all__ = [
     "random_flag",
 ]
 
+#: A flag basis whose Gram matrix is further than this from the identity is
+#: re-orthonormalized (and reported as such).
+FLAG_INPUT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class FlagType:
@@ -122,7 +126,7 @@ class Flag:
 
     __slots__ = ("basis", "dims", "was_reorthonormalized")
 
-    def __init__(self, basis, dims, input_tol=1e-8):
+    def __init__(self, basis, dims):
         if not isinstance(dims, FlagType):
             dims = FlagType(tuple(dims))
         b = np.array(basis, dtype=float)
@@ -138,7 +142,7 @@ class Flag:
         if np.linalg.matrix_rank(b) < d:
             raise InputError("flag basis is rank deficient")
         gram_defect = opnorm(b.T @ b - np.eye(d))
-        reorth = gram_defect > input_tol
+        reorth = gram_defect > FLAG_INPUT_TOL
         if reorth:
             b = _orthonormalize(b)
         self.basis = b
@@ -252,10 +256,7 @@ class RateFiltration:
         return self.transform.shape[0]
 
     def row_starts(self):
-        starts = [0]
-        for m in self.mults:
-            starts.append(starts[-1] + m)
-        return starts
+        return np.cumsum((0, *self.mults)).tolist()
 
 
 def rate_filtration(dec, pol=None):
@@ -439,9 +440,7 @@ def _cell_assignment(flag, filt, pol, reverse=False):
     q = np.hstack(blocks)
     y = np.linalg.solve(q, flag.basis)
     scale = max(1.0, opnorm(y))
-    starts = [0]
-    for m in mults:
-        starts.append(starts[-1] + m)
+    starts = np.cumsum((0, *mults))
     dlist = list(flag.dims.dims) + [n]
     k = len(mults)
     ranks = np.zeros((len(dlist) + 1, k + 1), dtype=int)
@@ -523,25 +522,19 @@ def component_defect(flag, component, filt):
     yo = _orthonormalize(y)
     starts = filt.row_starts()
     k = len(filt.mults)
-    cum = np.zeros((len(flag.dims.dims), k))
-    acc = np.zeros(k, dtype=int)
-    for i in range(len(flag.dims.dims)):
-        acc = acc + np.array(component.assignment[i])
-        cum[i] = acc
+    cum = np.cumsum(component.assignment, axis=0)
     worst = 0.0
-    model = np.zeros((filt.n, filt.n))
-    for j in range(k):
-        model[starts[j] : starts[j + 1], starts[j] : starts[j + 1]] = np.eye(
-            filt.mults[j]
-        ) * filt.rates[j]
+    # the rate frame's block-diagonal model acts on each row by its rate
+    rates = np.repeat(filt.rates, filt.mults)[:, None]
+    model_norm = max(1.0, max(abs(r) for r in filt.rates))
     for i, d in enumerate(flag.dims.dims):
         cols = yo[:, :d]
         for j in range(k):
             mass = float(np.sum(cols[starts[j] : starts[j + 1], :] ** 2))
             worst = max(worst, abs(mass - cum[i, j]))
-        hv = model @ cols
+        hv = rates * cols
         resid = hv - cols @ (cols.T @ hv)
-        worst = max(worst, float(np.linalg.norm(resid)) / max(1.0, opnorm(model)))
+        worst = max(worst, float(np.linalg.norm(resid)) / model_norm)
     return worst
 
 

@@ -10,7 +10,7 @@ theory onto the skew-product flow over the circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,9 @@ __all__ = [
 MAX_HARMONICS = 16
 MAX_M = 64
 MIN_STEPS = 64
+
+#: Largest accepted RK4 error estimate, relative to max(1, max |g|).
+STIFFNESS_BUDGET = 1e-4
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,6 @@ class FundamentalSolution:
     derivatives: np.ndarray
     det_drift: float
     error_estimate: float
-    _power_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def period(self):
@@ -135,18 +137,6 @@ class FundamentalSolution:
     @property
     def monodromy(self):
         return self.samples[-1]
-
-    def _monodromy_power(self, k):
-        k = int(k)
-        if k not in self._power_cache:
-            mono = self.monodromy
-            if k >= 0:
-                self._power_cache[k] = np.linalg.matrix_power(mono, k)
-            else:
-                self._power_cache[k] = np.linalg.matrix_power(
-                    np.linalg.inv(mono), -k
-                )
-        return self._power_cache[k]
 
     def at(self, t):
         """g(t) for any real t."""
@@ -169,7 +159,7 @@ class FundamentalSolution:
         )
         if k == 0:
             return g_tau
-        return g_tau @ self._monodromy_power(k)
+        return g_tau @ np.linalg.matrix_power(self.monodromy, k)
 
 
 def _rk4_step(coef, t, g, h):
@@ -180,7 +170,7 @@ def _rk4_step(coef, t, g, h):
     return g + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def integrate_fundamental(coef, steps, stiffness_budget=1e-4):
+def integrate_fundamental(coef, steps):
     """Classical RK4 on a uniform grid with per-step determinant projection.
 
     The local error is estimated by step-halving (Richardson); the summed
@@ -219,10 +209,10 @@ def integrate_fundamental(coef, steps, stiffness_budget=1e-4):
         g = g * det ** (-1.0 / n)
         samples[i + 1] = g
         derivs[i + 1] = coef.value(t + h) @ g
-    if err > stiffness_budget * max(1.0, float(np.max(np.abs(samples)))):
+    if err > STIFFNESS_BUDGET * max(1.0, float(np.max(np.abs(samples)))):
         raise StiffnessSuspected(
             f"accumulated error estimate {err:.3e} exceeds budget "
-            f"{stiffness_budget:.1e}; increase steps"
+            f"{STIFFNESS_BUDGET:.1e}; increase steps"
         )
     return FundamentalSolution(
         coefficient=coef,

@@ -63,8 +63,9 @@ class TolerancePolicy:
 
     def __post_init__(self):
         eps = np.finfo(float).eps
-        if not (self.cluster_tol > 0 and self.residual_tol > 0 and self.sim_tol > 0):
-            raise InputError("all tolerances must be strictly positive")
+        tols = (self.cluster_tol, self.residual_tol, self.sim_tol)
+        if not all(0 < t < np.inf for t in tols):
+            raise InputError("all tolerances must be strictly positive and finite")
         if self.cluster_tol < 100 * eps:
             raise InputError("cluster_tol below 100*machine-epsilon is not resolvable")
         if self.sim_tol >= 0.5:
@@ -172,14 +173,15 @@ def _cluster_eigenvalues(w, cluster_tol):
 def complex_spectrum(a, pol=None):
     """Clustered complex spectrum of a real matrix with real eigenprojections.
 
-    Projections are computed cluster by cluster on the real Schur form: the
-    selected Schur ordering puts the cluster's invariant subspace first, a
-    Sylvester solve block-diagonalizes, and the projector follows without any
-    contour integration.
+    Projections are computed cluster by cluster from one real Schur form:
+    ``dtrsen`` reorders it so the cluster's invariant subspace comes first
+    (the same swaps an ordered ``schur`` runs), a Sylvester solve
+    block-diagonalizes, and the projector follows without any contour
+    integration.
 
-    Raises NonConvergence if the QR iteration fails and IllConditioned if the
-    computed projections violate their invariants at residual_tol scale
-    (two clusters too entangled to separate).
+    Raises NonConvergence if the QR iteration or a reordering fails and
+    IllConditioned if the computed projections violate their invariants at
+    residual_tol scale (two clusters too entangled to separate).
     """
     pol = pol or DEFAULT_POLICY
     a = as_square_matrix(a, "A", max_dim=MAX_DIM)
@@ -188,10 +190,22 @@ def complex_spectrum(a, pol=None):
 
     try:
         w = np.linalg.eigvals(a)
+        t0, z0 = sla.schur(a, output="real")
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
 
     groups = _cluster_eigenvalues(w, pol.cluster_tol)
+    label = np.empty(n, dtype=int)
+    for gi, idx in enumerate(groups):
+        label[idx] = gi
+
+    def group_of(wr, wi):
+        # the cluster of the computed eigenvalue nearest to each Schur eigenvalue
+        return label[np.argmin(np.abs(w - (wr + 1j * wi)[:, None]), axis=1)]
+
+    # T's eigenvalues as LAPACK reads them (an empty selection swaps nothing)
+    wr0, wi0 = sla.lapack.dtrsen(np.zeros(n, int), t0, z0, job="N")[2:4]
+    diagonal_groups = group_of(wr0, wi0)
 
     # Canonical representative: mean of (Re, |Im|) over the members; a cluster
     # is a conjugate pair when the representative keeps a genuine imaginary
@@ -206,28 +220,21 @@ def complex_spectrum(a, pol=None):
     # deterministic order: decreasing real part, then increasing |Im|
     order = sorted(range(len(reps)), key=lambda k: (-reps[k][0].real, reps[k][0].imag))
 
-    flat = w.copy()
-
-    def cluster_of(z):
-        return int(np.argmin(np.abs(flat - z)))
-
-    idx_to_group = {}
-    for gi, idx in enumerate(groups):
-        for i in idx:
-            idx_to_group[i] = gi
-
     clusters = []
     for gi in order:
         lam, is_pair, members = reps[gi]
         m = len(groups[gi])
-
-        def select(x, y, _gi=gi):
-            return idx_to_group[cluster_of(complex(x, y))] == _gi
-
-        try:
-            t, z, sdim = sla.schur(a, output="real", sort=select)
-        except Exception as exc:  # pragma: no cover - LAPACK failure path
-            raise NonConvergence(f"ordered Schur factorization failed: {exc}") from exc
+        t, z, wr, wi, *_, info = sla.lapack.dtrsen(
+            (diagonal_groups == gi).astype(int), t0, z0, job="N"
+        )
+        # recount as dgees does: a conjugate pair (wi > 0 at its first
+        # member) is selected when either member is, and selected ones lead
+        sel = group_of(wr, wi) == gi
+        pairs = np.flatnonzero(wi > 0)
+        sel[pairs] = sel[pairs + 1] = sel[pairs] | sel[pairs + 1]
+        if info != 0 or np.any(sel[1:] > sel[:-1]):
+            raise NonConvergence(f"Schur reordering failed for the cluster near {lam}")
+        sdim = int(sel.sum())
         if sdim != m:
             raise IllConditioned(
                 f"Schur reordering selected {sdim} eigenvalues for a cluster "

@@ -10,10 +10,20 @@ import json
 import math
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from jordanflow.errors import InputError
+from jordanflow.errors import IllConditioned, InputError, NonConvergence
+from jordanflow.matrixcore import (
+    DEFAULT_POLICY,
+    MAX_DIM,
+    SpectralCluster,
+    SpectralData,
+    _cluster_eigenvalues,
+    as_square_matrix,
+    opnorm,
+)
 
 
 def hermite_projection(a, cluster_values, all_values):
@@ -198,3 +208,135 @@ def chain_graph_dense(pts, g1, eps, leg_doublings):
     nn_cos = cos_grid.max(axis=1)
     covering = float(np.sqrt(max(0.0, 2.0 - 2.0 * nn_cos.min())))
     return adj, marked, covering
+
+
+def complex_spectrum_ordered_schur(a, pol=None):
+    """Clustered complex spectrum of a real matrix with real eigenprojections.
+
+    The construction ``matrixcore.complex_spectrum`` used before it reordered
+    one Schur form: one ordered ``scipy.linalg.schur`` call per cluster,
+    selecting the cluster with a Python callback.
+
+    Projections are computed cluster by cluster on the real Schur form: the
+    selected Schur ordering puts the cluster's invariant subspace first, a
+    Sylvester solve block-diagonalizes, and the projector follows without any
+    contour integration.
+
+    Raises NonConvergence if the QR iteration fails and IllConditioned if the
+    computed projections violate their invariants at residual_tol scale
+    (two clusters too entangled to separate).
+    """
+    pol = pol or DEFAULT_POLICY
+    a = as_square_matrix(a, "A", max_dim=MAX_DIM)
+    n = a.shape[0]
+    scale = max(1.0, opnorm(a))
+
+    try:
+        w = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
+
+    groups = _cluster_eigenvalues(w, pol.cluster_tol)
+
+    # Canonical representative: mean of (Re, |Im|) over the members; a cluster
+    # is a conjugate pair when the representative keeps a genuine imaginary
+    # part at clustering scale.
+    reps = []
+    for idx in groups:
+        members = w[idx]
+        re = float(np.mean(members.real))
+        im = float(np.mean(np.abs(members.imag)))
+        is_pair = im > pol.cluster_tol * max(1.0, abs(complex(re, im)))
+        reps.append((complex(re, im if is_pair else 0.0), is_pair, members))
+    # deterministic order: decreasing real part, then increasing |Im|
+    order = sorted(range(len(reps)), key=lambda k: (-reps[k][0].real, reps[k][0].imag))
+
+    flat = w.copy()
+
+    def cluster_of(z):
+        return int(np.argmin(np.abs(flat - z)))
+
+    idx_to_group = {}
+    for gi, idx in enumerate(groups):
+        for i in idx:
+            idx_to_group[i] = gi
+
+    clusters = []
+    for gi in order:
+        lam, is_pair, members = reps[gi]
+        m = len(groups[gi])
+
+        def select(x, y, _gi=gi):
+            return idx_to_group[cluster_of(complex(x, y))] == _gi
+
+        try:
+            t, z, sdim = sla.schur(a, output="real", sort=select)
+        except Exception as exc:  # pragma: no cover - LAPACK failure path
+            raise NonConvergence(f"ordered Schur factorization failed: {exc}") from exc
+        if sdim != m:
+            raise IllConditioned(
+                f"Schur reordering selected {sdim} eigenvalues for a cluster "
+                f"of multiplicity {m} near {lam}; clusters are not separable "
+                f"at cluster_tol={pol.cluster_tol}",
+                margins={"selected": sdim, "expected": m},
+            )
+        if m == n:
+            basis = z
+            left = z.T
+            proj = np.eye(n)
+            block = t
+        else:
+            t11 = t[:m, :m]
+            t12 = t[:m, m:]
+            t22 = t[m:, m:]
+            # block-diagonalize: T11 Y - Y T22 = -T12
+            y = sla.solve_sylvester(t11, -t22, -t12)
+            basis = z[:, :m]
+            left = basis.T - y @ z[:, m:].T
+            proj = basis @ left
+            block = t11
+        clusters.append(
+            SpectralCluster(
+                eigenvalue=lam,
+                multiplicity=m,
+                projection=proj,
+                is_pair=is_pair,
+                members=tuple(members.tolist()),
+                basis=basis,
+                left=left,
+                block=block,
+            )
+        )
+
+    projs = [c.projection for c in clusters]
+    res = {
+        "sum": opnorm(sum(projs) - np.eye(n)),
+        "idempotent": max(opnorm(p @ p - p) for p in projs),
+        "commute": max(opnorm(a @ p - p @ a) for p in projs),
+    }
+    disjoint = 0.0
+    for i in range(len(projs)):
+        for j in range(i + 1, len(projs)):
+            disjoint = max(disjoint, opnorm(projs[i] @ projs[j]))
+    res["disjoint"] = disjoint
+    worst = max(res.values())
+    if worst > pol.residual_tol * scale * n * 10:
+        raise IllConditioned(
+            "spectral projections violate their invariants "
+            f"(worst residual {worst:.3e}); eigenvalue clusters separated by "
+            "roughly cluster_tol cannot be resolved — widen cluster_tol",
+            margins=res,
+        )
+    # nearly-parallel invariant subspaces make every downstream residual_tol
+    # certificate unattainable; report instead of guessing
+    pnorm = max(opnorm(c.projection) for c in clusters)
+    if pnorm > 0.1 / pol.residual_tol:
+        raise IllConditioned(
+            f"spectral projection norm {pnorm:.3e} exceeds "
+            f"0.1/residual_tol; clusters too entangled to separate at "
+            f"cluster_tol={pol.cluster_tol} — widen cluster_tol",
+            margins={"projection_norm": pnorm, **res},
+        )
+    return SpectralData(
+        matrix=a, clusters=tuple(clusters), cluster_tol=pol.cluster_tol, residuals=res
+    )

@@ -297,6 +297,41 @@ class TestAnalyze:
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestAnalyzeRefusals:
+    """Nonsense numbers exit 2 before anything is decomposed."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--simulate", "-3"],
+            ["--horizon", "inf"],
+            ["--horizon=-inf"],
+            ["--horizon", "nan"],
+            ["--horizon", "inf", "--simulate", "1"],
+            ["--time", "discrete", "--horizon", "inf", "--simulate", "1"],
+            ["--time", "discrete", "--horizon", "nan", "--simulate", "1"],
+            ["--horizon", "inf", "--trajectory-out", "t.csv"],
+            ["--residual-tol", "inf"],
+            ["--cluster-tol", "inf"],
+            ["--sim-tol", "inf"],
+            ["--cluster-tol", "nan"],
+            ["--residual-tol", "nan"],
+        ],
+    )
+    def test_exit_2(self, x4_file, tmp_path, monkeypatch, extra):
+        import jordanflow.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("decomposed before refusing the input")
+
+        monkeypatch.setattr(cli, "_decompose", refuse)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(x4_file), "--flag", "1,2", "-o", str(out), *extra]
+        assert main(argv) == 2
+        assert not out.exists()
+
+
 class TestChainOracle:
     def test_unipotent_all_marked(self, tmp_path):
         f = write_matrix(tmp_path / "u.json", np.array([[1.0, 1], [0, 1]]))

@@ -490,3 +490,29 @@ class TestHeightLyapunov:
         assert component_defect(f, att, filt) < 1e-12
         g = Flag(np.stack([E1, E2], axis=1), (1, 2))
         assert component_defect(g, att, filt) > 0.5
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_component_defect_matches_dense_model(self, rng, pol, scale):
+        """Scaling rows by their rates is the dense block-diagonal model."""
+        x = scale * np.diag([3.0, 3.0, 0.5, -2.0, -4.5])
+        c = np.eye(5) + 0.3 * rng.normal(size=(5, 5))
+        filt = rate_filtration(additive_jordan(c @ x @ np.linalg.inv(c), pol), pol)
+        model = np.diag(np.repeat(filt.rates, filt.mults))
+        dims = FlagType((1, 3, 4))
+        comps = enumerate_morse_components(filt, dims, pol)
+        for _ in range(10):
+            f = random_flag(5, dims, rng)
+            yo = np.linalg.qr(np.linalg.solve(filt.transform, f.basis))[0]
+            for comp in comps:
+                cum = np.cumsum(comp.assignment, axis=0)
+                starts = filt.row_starts()
+                ref = 0.0
+                for i, d in enumerate(dims.dims):
+                    cols = yo[:, :d]
+                    for j in range(len(filt.mults)):
+                        mass = np.sum(cols[starts[j] : starts[j + 1]] ** 2)
+                        ref = max(ref, abs(mass - cum[i, j]))
+                    hv = model @ cols
+                    resid = np.linalg.norm(hv - cols @ (cols.T @ hv))
+                    ref = max(ref, resid / max(1.0, np.linalg.norm(model, 2)))
+                assert component_defect(f, comp, filt) == pytest.approx(ref, rel=1e-12)

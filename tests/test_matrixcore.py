@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import scipy.linalg as sla
+
 from jordanflow import (
     BranchObstruction,
     IllConditioned,
     InputError,
+    NonConvergence,
     NotNilpotent,
     Overflow,
     TolerancePolicy,
@@ -17,7 +20,13 @@ from jordanflow import (
     unipotent_log,
 )
 from jordanflow.report import spectrum_dict
-from oracles import companion, exp_series, hermite_projection, rotation_scale_exp
+from oracles import (
+    companion,
+    complex_spectrum_ordered_schur,
+    exp_series,
+    hermite_projection,
+    rotation_scale_exp,
+)
 from systems import x1, x2, x3, x4, x5
 
 
@@ -105,6 +114,130 @@ class TestComplexSpectrum:
     def test_dimension_cap(self):
         with pytest.raises(InputError):
             complex_spectrum(np.eye(13))
+
+
+def _planted_spectrum(rng, n):
+    """n // 3 rotation pairs and distinct real rates in a random frame."""
+    pairs = n // 3
+    rates = 0.4 * np.arange(n - pairs, 0, -1) + rng.uniform(-0.1, 0.1, n - pairs)
+    d = np.zeros((n, n))
+    i = 0
+    for k, r in enumerate(rates):
+        if k < pairs:
+            w = rng.uniform(0.5, 2.0)
+            d[i : i + 2, i : i + 2] = [[r, -w], [w, r]]
+            i += 2
+        else:
+            d[i, i] = r
+            i += 1
+    c = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+    return c @ d @ np.linalg.inv(c)
+
+
+def _spectrum_families():
+    rng = np.random.default_rng(7)
+    for n in range(2, 13):
+        c = rng.normal(size=(n, n))
+        ci = np.linalg.inv(c)
+        jordan = 0.7 * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        repeated = np.diag(np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n])
+        yield f"planted-{n}", _planted_spectrum(rng, n)
+        yield f"random-{n}", rng.normal(size=(n, n))
+        yield f"repeated-{n}", c @ repeated @ ci
+        yield f"jordan-{n}", c @ jordan @ ci
+        yield f"jordan-block-{n}", jordan
+        yield f"orthogonal-{n}", np.linalg.qr(rng.normal(size=(n, n)))[0]
+        yield f"diagonal-{n}", np.diag(rng.normal(size=n))
+        yield f"identity-{n}", np.eye(n)
+
+
+def _outcome(fn, a):
+    try:
+        return fn(a)
+    except IllConditioned as exc:
+        return type(exc), str(exc), exc.margins
+
+
+class TestOneSchurForm:
+    """complex_spectrum reorders one real Schur form per matrix with dtrsen;
+    the per-cluster ordered schur() it replaced is the reference."""
+
+    @pytest.mark.parametrize("name,a", list(_spectrum_families()))
+    def test_bitwise_equal_to_ordered_schur(self, name, a):
+        got = _outcome(complex_spectrum, a)
+        want = _outcome(complex_spectrum_ordered_schur, a)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.residuals == want.residuals
+        assert got.cluster_tol == want.cluster_tol
+        assert len(got.clusters) == len(want.clusters)
+        for c, r in zip(got.clusters, want.clusters):
+            assert (c.eigenvalue, c.multiplicity, c.is_pair, c.members) == (
+                r.eigenvalue,
+                r.multiplicity,
+                r.is_pair,
+                r.members,
+            )
+            for f in ("projection", "basis", "left", "block"):
+                x, y = getattr(c, f), getattr(r, f)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), f
+
+    def test_one_schur_call_per_matrix(self, monkeypatch):
+        a = _planted_spectrum(np.random.default_rng(3), 9)
+        calls = []
+        schur = sla.schur
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("sort"))
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "schur", counting)
+        data = complex_spectrum(a)
+        assert len(data.clusters) == 6
+        assert calls == [None]
+
+    def test_reordering_failure_is_nonconvergence(self, monkeypatch):
+        dtrsen = sla.lapack.dtrsen
+
+        def failing(select, *args, **kwargs):
+            out = dtrsen(select, *args, **kwargs)
+            return (*out[:-1], 1 if np.any(select) else out[-1])
+
+        monkeypatch.setattr(sla.lapack, "dtrsen", failing)
+        with pytest.raises(NonConvergence):
+            complex_spectrum(x1(1, 2))
+
+    def test_selection_not_leading_is_nonconvergence(self, monkeypatch):
+        """A reordering that leaves a selected eigenvalue behind an
+        unselected one is refused, as dgees refuses it."""
+        dtrsen = sla.lapack.dtrsen
+
+        def ignoring(select, *args, **kwargs):
+            return dtrsen(np.zeros_like(select), *args, **kwargs)
+
+        monkeypatch.setattr(sla.lapack, "dtrsen", ignoring)
+        with pytest.raises(NonConvergence):
+            complex_spectrum(np.diag([1.0, 2.0, 3.0]))
+
+    def test_pair_selected_by_either_member(self, monkeypatch):
+        """As in dgees's recount, a conjugate pair counts twice when only one
+        member's eigenvalue lies nearest the cluster."""
+        want = complex_spectrum(x4(1, 2))
+        dtrsen = sla.lapack.dtrsen
+
+        def second_member_elsewhere(select, *args, **kwargs):
+            t, z, wr, wi, *rest = dtrsen(select, *args, **kwargs)
+            if np.sum(select) == 2:  # the pair -1 +- 2i, reordered first
+                wr, wi = wr.copy(), wi.copy()
+                wr[1], wi[1] = 2.0, -1e-300  # nearest the other cluster, 2
+            return (t, z, wr, wi, *rest)
+
+        monkeypatch.setattr(sla.lapack, "dtrsen", second_member_elsewhere)
+        got = complex_spectrum(x4(1, 2))
+        for c, r in zip(got.clusters, want.clusters):
+            assert c.projection.tobytes() == r.projection.tobytes()
 
 
 class TestMatrixExp:
@@ -215,3 +348,9 @@ class TestTolerancePolicy:
         # coordinate masses are integers: 0.5 cannot separate components
         with pytest.raises(InputError):
             TolerancePolicy(sim_tol=0.5)
+
+    @pytest.mark.parametrize("field", ["cluster_tol", "residual_tol", "sim_tol"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(InputError):
+            TolerancePolicy(**{field: bad})
