@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 success, 2 parse or validation
 error, 3 ill-conditioned clustering, 4 simulation contradicts prediction,
-5 grid too large, 6 no real logarithm in the Floquet budget, 1 anything
+5 input exceeds a stated budget (chain grid size or pair count, Floquet
+sample memory), 6 no real logarithm in the Floquet budget, 1 anything
 else.  Identical inputs and flags produce byte-identical reports.
 """
 
@@ -88,7 +89,10 @@ def _require_number_rows(rows, n, what):
         for x in r:
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise InputError(f"{what} entries must be plain numbers, got {x!r}")
-    return np.array(rows, dtype=float)
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError as exc:
+        raise InputError(f"{what} has an integer entry beyond the float range") from exc
 
 
 def parse_matrix_input(path):
@@ -107,12 +111,18 @@ def parse_periodic_input(path):
     if not isinstance(doc, dict) or "T" not in doc or "A0" not in doc:
         raise InputError('periodic input needs {"T": ..., "A0": [[...]], "harmonics": [...]}')
     period = doc["T"]
-    if isinstance(period, bool) or not isinstance(period, (int, float)) or period <= 0:
-        raise InputError(f"period T={period!r} must be a positive number")
+    if (
+        isinstance(period, bool)
+        or not isinstance(period, (int, float))
+        or not 0 < period <= sys.float_info.max
+    ):
+        raise InputError(f"period T={period!r} must be a positive finite number")
     a0 = doc["A0"]
     if not isinstance(a0, list) or not a0:
         raise InputError("A0 must be a matrix")
     n = len(a0)
+    if not 2 <= n <= 12:
+        raise InputError(f"periodic input dimension n={n} outside 2..12")
     a0 = _require_number_rows(a0, n, "A0")
     harmonics = []
     for item in doc.get("harmonics", []):
@@ -531,7 +541,7 @@ def main(argv=None):
         print(f"jordanflow: simulation contradicts prediction: {exc}", file=sys.stderr)
         return 4
     except GridTooLarge as exc:
-        print(f"jordanflow: grid too large: {exc}", file=sys.stderr)
+        print(f"jordanflow: input exceeds a stated budget: {exc}", file=sys.stderr)
         return 5
     except NoRealLog as exc:
         print(f"jordanflow: no real logarithm: {exc}", file=sys.stderr)

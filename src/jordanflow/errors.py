@@ -50,7 +50,9 @@ class DimensionTooLarge(JordanFlowError):
 
 
 class GridTooLarge(JordanFlowError):
-    """Chain-oracle grid is infeasible (dimension, resolution or pair budget)."""
+    """Input exceeds a stated budget: a chain-oracle grid that is infeasible
+    (dimension, resolution or pair budget), or Floquet samples above
+    ``floquet.SAMPLE_BUDGET``."""
 
 
 class RankAmbiguous(JordanFlowError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NoRealLog, StiffnessSuspected
+from .errors import GridTooLarge, InputError, NoRealLog, StiffnessSuspected
 from .flags import (
     Flag,
     FlagType,
@@ -49,6 +49,14 @@ MIN_STEPS = 64
 #: Largest accepted RK4 error estimate, relative to max(1, max |g|).
 STIFFNESS_BUDGET = 1e-4
 
+#: Largest memory, in bytes, for the samples and derivatives of one
+#: fundamental solution: 2 (steps + 1) n^2 doubles.  At n = 12 that is
+#: 116,507 steps.
+SAMPLE_BUDGET = 256 * 2**20
+
+#: RK4 steps per coefficient table and per batched error-norm call.
+_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class PeriodicCoefficient:
@@ -64,8 +72,8 @@ class PeriodicCoefficient:
     harmonics: tuple  # of (k, A_k, B_k)
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise InputError("period must be positive")
+        if not 0 < self.period < math.inf:
+            raise InputError("period must be positive and finite")
         a0 = as_square_matrix(self.a0, "A0")
         object.__setattr__(self, "a0", a0)
         n = a0.shape[0]
@@ -96,10 +104,23 @@ class PeriodicCoefficient:
         return self.a0.shape[0]
 
     def value(self, t):
-        x = self.a0.copy()
+        return self.table([t])[0]
+
+    def table(self, times):
+        """X(t) for each t in ``times``, stacked as a (len(times), n, n) array.
+
+        Each row is A0 + sum_k (A_k cos + B_k sin) in harmonic order, with
+        ``math.cos``/``math.sin`` of the Python float w k t, so a row is
+        bitwise the value at its time however many times are tabulated.
+        """
+        times = np.asarray(times, dtype=float).tolist()
+        x = np.empty((len(times), self.n, self.n))
+        x[:] = self.a0
         w = 2.0 * math.pi / self.period
         for k, a, b in self.harmonics:
-            x += a * math.cos(w * k * t) + b * math.sin(w * k * t)
+            c = np.array([math.cos(w * k * t) for t in times])[:, None, None]
+            s = np.array([math.sin(w * k * t) for t in times])[:, None, None]
+            x += a * c + b * s
         return x
 
 
@@ -162,14 +183,6 @@ class FundamentalSolution:
         return g_tau @ np.linalg.matrix_power(self.monodromy, k)
 
 
-def _rk4_step(coef, t, g, h):
-    k1 = coef.value(t) @ g
-    k2 = coef.value(t + h / 2) @ (g + (h / 2) * k1)
-    k3 = coef.value(t + h / 2) @ (g + (h / 2) * k2)
-    k4 = coef.value(t + h) @ (g + h * k3)
-    return g + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def integrate_fundamental(coef, steps):
     """Classical RK4 on a uniform grid with per-step determinant projection.
 
@@ -177,6 +190,14 @@ def integrate_fundamental(coef, steps):
     estimate is reported, and StiffnessSuspected is raised when it exceeds
     the budget.  Halving the step size shrinks the monodromy error by the
     classical fourth-order factor (asserted in tests).
+
+    Steps run in blocks of ``_BLOCK``.  Per block the coefficient is
+    tabulated once at the six distinct times of each step, the full step
+    and the first half step advance together as a (2, n, n) stack from
+    their shared k1 = X(t) g, and the block's step-halving norms come from
+    one batched SVD.  Every float operation is the one a step-by-step RK4
+    makes, in the same order, so the samples are bitwise those of
+    ``tests/oracles.integrate_fundamental_reference``.
     """
     if not isinstance(coef, PeriodicCoefficient):
         raise InputError("integrate_fundamental needs a PeriodicCoefficient")
@@ -184,31 +205,68 @@ def integrate_fundamental(coef, steps):
     if steps < MIN_STEPS:
         raise InputError(f"steps must be >= {MIN_STEPS}")
     n = coef.n
+    need = 2 * (steps + 1) * n * n * 8
+    if need > SAMPLE_BUDGET:
+        raise GridTooLarge(
+            f"{steps} steps at n={n} need {need} bytes of samples; "
+            f"budget is {SAMPLE_BUDGET}"
+        )
     T = coef.period
     h = T / steps
+    hh = h / 2
+    q = hh / 2
+    # the h/2, h and h/6 factors of the full step (row 0, step h) and of
+    # the first half step (row 1, step h/2)
+    mid = np.array([hh, q])[:, None, None]
+    end = np.array([h, hh])[:, None, None]
+    sixth = np.array([h / 6, hh / 6])[:, None, None]
     g = np.eye(n)
     samples = np.empty((steps + 1, n, n))
     derivs = np.empty_like(samples)
+    diffs = np.empty((min(_BLOCK, steps), n, n))
     samples[0] = g
     derivs[0] = coef.value(0.0) @ g
     drift = 0.0
     err = 0.0
-    for i in range(steps):
-        t = i * h
-        full = _rk4_step(coef, t, g, h)
-        half = _rk4_step(coef, t, g, h / 2)
-        half = _rk4_step(coef, t + h / 2, half, h / 2)
-        err += opnorm(full - half) / 15.0
-        g = full
-        det = np.linalg.det(g)
-        if det <= 0 or not np.isfinite(det):
+    for i0 in range(0, steps, _BLOCK):
+        i1 = min(i0 + _BLOCK, steps)
+        t = np.arange(i0, i1) * h
+        th = t + hh
+        # X per step at t + h, t + h/2, t + h/4, t, then t + h/2 + h/4 and
+        # t + h/2 + h/2: columns 0:2 are the k4 coefficients of the full and
+        # the first half step, columns 1:3 their k2 and k3 coefficients
+        times = np.stack([t + h, th, t + q, t, th + q, th + hh], axis=1)
+        x = coef.table(times.ravel()).reshape(i1 - i0, 6, n, n)
+        for j in range(i1 - i0):
+            xs = x[j]
+            k1 = xs[3] @ g
+            k2 = xs[1:3] @ (g + mid * k1)
+            k3 = xs[1:3] @ (g + mid * k2)
+            k4 = xs[0:2] @ (g + end * k3)
+            full, y = g + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            k1 = xs[1] @ y
+            k2 = xs[4] @ (y + q * k1)
+            k3 = xs[4] @ (y + q * k2)
+            k4 = xs[5] @ (y + hh * k3)
+            diffs[j] = full - (y + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+            g = full
+            det = np.linalg.det(g)
+            if det <= 0 or not np.isfinite(det):
+                raise StiffnessSuspected(
+                    f"determinant {det} at t={float(t[j]) + h}; step size unusable"
+                )
+            drift += abs(det - 1.0)
+            g = g * det ** (-1.0 / n)
+            samples[i0 + j + 1] = g
+        block = diffs[: i1 - i0]
+        if not np.all(np.isfinite(block)):
             raise StiffnessSuspected(
-                f"determinant {det} at t={t + h}; step size unusable"
+                f"step-halving difference not finite by t={float(t[-1]) + h}; "
+                "step size unusable"
             )
-        drift += abs(det - 1.0)
-        g = g * det ** (-1.0 / n)
-        samples[i + 1] = g
-        derivs[i + 1] = coef.value(t + h) @ g
+        for e in np.linalg.norm(block, 2, axis=(1, 2)).tolist():
+            err += e / 15.0
+        derivs[i0 + 1 : i1 + 1] = x[:, 0] @ samples[i0 + 1 : i1 + 1]
     if err > STIFFNESS_BUDGET * max(1.0, float(np.max(np.abs(samples)))):
         raise StiffnessSuspected(
             f"accumulated error estimate {err:.3e} exceeds budget "

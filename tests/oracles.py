@@ -14,7 +14,18 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from jordanflow.errors import IllConditioned, InputError, NonConvergence
+from jordanflow.errors import (
+    IllConditioned,
+    InputError,
+    NonConvergence,
+    StiffnessSuspected,
+)
+from jordanflow.floquet import (
+    MIN_STEPS,
+    STIFFNESS_BUDGET,
+    FundamentalSolution,
+    PeriodicCoefficient,
+)
 from jordanflow.matrixcore import (
     DEFAULT_POLICY,
     MAX_DIM,
@@ -339,4 +350,76 @@ def complex_spectrum_ordered_schur(a, pol=None):
         )
     return SpectralData(
         matrix=a, clusters=tuple(clusters), cluster_tol=pol.cluster_tol, residuals=res
+    )
+
+
+def _coefficient_value_reference(coef, t):
+    """X(t) of a ``PeriodicCoefficient`` at one time, as
+    ``PeriodicCoefficient.value`` computed it before the coefficient table."""
+    x = coef.a0.copy()
+    w = 2.0 * math.pi / coef.period
+    for k, a, b in coef.harmonics:
+        x += a * math.cos(w * k * t) + b * math.sin(w * k * t)
+    return x
+
+
+def _rk4_step(coef, t, g, h):
+    k1 = _coefficient_value_reference(coef, t) @ g
+    k2 = _coefficient_value_reference(coef, t + h / 2) @ (g + (h / 2) * k1)
+    k3 = _coefficient_value_reference(coef, t + h / 2) @ (g + (h / 2) * k2)
+    k4 = _coefficient_value_reference(coef, t + h) @ (g + h * k3)
+    return g + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def integrate_fundamental_reference(coef, steps):
+    """RK4 fundamental solution, one step at a time.
+
+    The construction ``floquet.integrate_fundamental`` used before its
+    per-block coefficient table: 13 coefficient evaluations, 12 matrix
+    products and one 2-norm per step.  Returns the same
+    ``FundamentalSolution`` or raises the same errors.
+    """
+    if not isinstance(coef, PeriodicCoefficient):
+        raise InputError("integrate_fundamental needs a PeriodicCoefficient")
+    steps = int(steps)
+    if steps < MIN_STEPS:
+        raise InputError(f"steps must be >= {MIN_STEPS}")
+    n = coef.n
+    T = coef.period
+    h = T / steps
+    g = np.eye(n)
+    samples = np.empty((steps + 1, n, n))
+    derivs = np.empty_like(samples)
+    samples[0] = g
+    derivs[0] = _coefficient_value_reference(coef, 0.0) @ g
+    drift = 0.0
+    err = 0.0
+    for i in range(steps):
+        t = i * h
+        full = _rk4_step(coef, t, g, h)
+        half = _rk4_step(coef, t, g, h / 2)
+        half = _rk4_step(coef, t + h / 2, half, h / 2)
+        err += opnorm(full - half) / 15.0
+        g = full
+        det = np.linalg.det(g)
+        if det <= 0 or not np.isfinite(det):
+            raise StiffnessSuspected(
+                f"determinant {det} at t={t + h}; step size unusable"
+            )
+        drift += abs(det - 1.0)
+        g = g * det ** (-1.0 / n)
+        samples[i + 1] = g
+        derivs[i + 1] = _coefficient_value_reference(coef, t + h) @ g
+    if err > STIFFNESS_BUDGET * max(1.0, float(np.max(np.abs(samples)))):
+        raise StiffnessSuspected(
+            f"accumulated error estimate {err:.3e} exceeds budget "
+            f"{STIFFNESS_BUDGET:.1e}; increase steps"
+        )
+    return FundamentalSolution(
+        coefficient=coef,
+        steps=steps,
+        samples=samples,
+        derivatives=derivs,
+        det_drift=float(drift),
+        error_estimate=float(err),
     )

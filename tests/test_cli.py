@@ -14,6 +14,7 @@ import jsonschema
 
 import jordanflow
 from jordanflow.cli import main
+from jordanflow.floquet import SAMPLE_BUDGET
 from jordanflow.projective import (
     CHAIN_PAIR_BUDGET,
     MAX_GRID,
@@ -549,6 +550,72 @@ class TestFloquetCmd:
     def test_bad_periodic_input_exit_2(self, tmp_path):
         f = self.write_periodic(tmp_path / "bad.json", {"T": -1.0, "A0": [[0.0]]})
         assert main(["floquet", str(f)]) == 2
+
+
+class TestFloquetRefusals:
+    """Periodic inputs outside the stated ranges and budgets are refused
+    before anything is integrated."""
+
+    def run(self, tmp_path, monkeypatch, doc, *extra):
+        import jordanflow.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("integrated before refusing the input")
+
+        monkeypatch.setattr(cli, "integrate_fundamental", refuse)
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        code = main(["floquet", str(f), "-o", str(out), *extra])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("n", [1, 13])
+    def test_dimension_outside_2_to_12_exit_2(self, tmp_path, monkeypatch, n):
+        doc = {"T": 1.0, "A0": np.zeros((n, n)).tolist(), "harmonics": []}
+        assert self.run(tmp_path, monkeypatch, doc) == 2
+
+    def test_infinite_period_exit_2(self, tmp_path, monkeypatch):
+        doc = {"T": math.inf, "A0": [[0.0, 1.0], [-1.0, 0.0]], "harmonics": []}
+        assert "Infinity" in json.dumps(doc)
+        assert self.run(tmp_path, monkeypatch, doc) == 2
+
+    def test_integer_period_beyond_float_range_exit_2(self, tmp_path, monkeypatch):
+        doc = {"T": 10**400, "A0": [[0.0, 1.0], [-1.0, 0.0]], "harmonics": []}
+        assert self.run(tmp_path, monkeypatch, doc) == 2
+
+    def test_integer_entry_beyond_float_range_exit_2(self, tmp_path, monkeypatch):
+        doc = {"T": 1.0, "A0": [[0, 10**400], [-1, 0]], "harmonics": []}
+        assert self.run(tmp_path, monkeypatch, doc) == 2
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"n": 2, "rows": [[0, 10**400], [-1, 0]]}))
+        assert main(["decompose", str(f)]) == 2
+
+    def test_huge_period_exit_1(self, tmp_path, capsys):
+        """T = 1e308: the first RK4 step overflows, which the determinant
+        check reports as stiffness instead of an SVD traceback."""
+        doc = {"T": 1e308, "A0": [[0.0, 1.0], [-1.0, 0.0]], "harmonics": []}
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["floquet", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("jordanflow: error: determinant")
+
+    def test_sample_budget_plus_one_exit_5(self, tmp_path):
+        n = 12
+        limit = SAMPLE_BUDGET // (2 * (n * n * 8)) - 1
+        doc = {"T": 1.0, "A0": np.zeros((n, n)).tolist(), "harmonics": []}
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code = main(["floquet", str(f), "--steps", str(limit + 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 5
+        assert peak < 10 * 2**20
 
 
 class TestEntryPoint:

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+import jordanflow.floquet as fq
 from jordanflow import (
     Flag,
+    GridTooLarge,
     InputError,
     NoRealLog,
     PeriodicCoefficient,
@@ -23,6 +27,7 @@ from jordanflow import (
     skew_step,
 )
 from jordanflow.flags import random_flag
+from oracles import _coefficient_value_reference, integrate_fundamental_reference
 from systems import E1, E2, E3, x1, x4
 
 ZERO3 = np.zeros((3, 3))
@@ -48,6 +53,22 @@ def constant_system(mat, period=1.0):
 def scalar_modulated(mat, period=1.0, amp=0.5):
     return PeriodicCoefficient(
         period=period, a0=mat, harmonics=((1, amp * mat, ZERO3),)
+    )
+
+
+def random_coefficient(rng, n, harmonics, period, scale=1.0):
+    """Traceless A0 of scale 0.5 and ``harmonics`` distinct harmonics of
+    scale 0.3 (times ``scale``), with indices in 1..8."""
+
+    def traceless(s):
+        m = s * scale * rng.standard_normal((n, n))
+        return m - np.trace(m) / n * np.eye(n)
+
+    ks = sorted(rng.choice(np.arange(1, 9), harmonics, replace=False).tolist())
+    return PeriodicCoefficient(
+        period=period,
+        a0=traceless(0.5),
+        harmonics=tuple((k, traceless(0.3), traceless(0.3)) for k in ks),
     )
 
 
@@ -80,6 +101,32 @@ class TestPeriodicCoefficient:
     def test_period_positive(self):
         with pytest.raises(InputError):
             constant_system(x4(1, 2), period=-1.0)
+
+    @pytest.mark.parametrize("period", [np.inf, np.nan])
+    def test_period_finite(self, period):
+        with pytest.raises(InputError):
+            constant_system(x4(1, 2), period=period)
+
+    def test_table_rows_bitwise_equal_to_one_time_values(self):
+        rng = np.random.default_rng(11)
+        coef = random_coefficient(rng, 4, 5, 2.5)
+        times = rng.uniform(-3.0, 7.0, 200).tolist() + [0.0, 2.5, 1e-300]
+        table = coef.table(times)
+        assert table.shape == (len(times), 4, 4)
+        for t, row in zip(times, table):
+            assert row.tobytes() == _coefficient_value_reference(coef, t).tobytes()
+            assert coef.value(t).tobytes() == row.tobytes()
+
+    def test_table_takes_its_trig_from_math(self, monkeypatch):
+        """np.cos agrees with math.cos bitwise on some platforms only; a
+        perturbed math.cos and math.sin show which functions the table calls."""
+        cos, sin = math.cos, math.sin
+        monkeypatch.setattr(math, "cos", lambda x: cos(x) + 2.0**-20)
+        monkeypatch.setattr(math, "sin", lambda x: sin(x) - 2.0**-20)
+        coef = random_coefficient(np.random.default_rng(12), 3, 2, 1.0)
+        times = [0.0, 0.1, 0.25, 0.7]
+        for t, row in zip(times, coef.table(times)):
+            assert row.tobytes() == _coefficient_value_reference(coef, t).tobytes()
 
 
 class TestIntegrateFundamental:
@@ -125,6 +172,105 @@ class TestIntegrateFundamental:
         fund = integrate_fundamental(constant_system(x4(1, 2)), 512)
         target = matrix_exp(-0.7 * x4(1, 2))
         assert np.linalg.norm(fund.at(-0.7) - target) < 1e-7
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+B = fq._BLOCK
+
+
+class TestTabulatedIntegrator:
+    """integrate_fundamental tabulates the coefficient once per block and
+    advances the full and the first half step as one stack; the
+    step-by-step RK4 it replaced is the reference, bit for bit."""
+
+    def assert_bitwise_equal(self, coef, steps):
+        got = _outcome(integrate_fundamental, coef, steps)
+        want = _outcome(integrate_fundamental_reference, coef, steps)
+        if isinstance(want, tuple):
+            assert got == want
+            return want
+        assert not isinstance(got, tuple), got
+        for field in ("samples", "derivatives"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        assert got.det_drift.hex() == want.det_drift.hex()
+        assert got.error_estimate.hex() == want.error_estimate.hex()
+        return want
+
+    @pytest.mark.parametrize(
+        "n,harmonics,period,steps",
+        [
+            (2, 0, 1.0, 64),
+            (3, 1, 0.37, B - 1),
+            (4, 2, 2.5, B),
+            (5, 3, 1.0, B + 1),
+            (6, 5, 6.0, 65),
+            (2, 4, 0.37, 333),
+            (3, 5, 1.0, 2 * B + 7),
+            (4, 0, 2.5, B + 1),
+            (6, 1, 1.0, B - 1),
+            (5, 4, 0.37, 1025),
+        ],
+    )
+    def test_bitwise_equal_to_step_by_step(self, n, harmonics, period, steps):
+        rng = np.random.default_rng([n, harmonics, steps])
+        coef = random_coefficient(rng, n, harmonics, period)
+        want = self.assert_bitwise_equal(coef, steps)
+        assert not isinstance(want, tuple), want
+
+    def test_stiff_input_same_refusal(self):
+        want = self.assert_bitwise_equal(constant_system(60.0 * x4(1, 2)), 64)
+        assert want[0] is StiffnessSuspected
+        assert want[1].startswith("accumulated error estimate")
+
+    def test_determinant_failure_same_refusal(self):
+        # a strong 2x2 coefficient on 64 steps: an RK4 step of negative
+        # determinant within the first block
+        coef = random_coefficient(np.random.default_rng(0), 2, 1, 1.0, scale=160.0)
+        want = self.assert_bitwise_equal(coef, 64)
+        assert want[0] is StiffnessSuspected
+        assert want[1].startswith("determinant -")
+
+    def test_one_coefficient_value_per_integration(self, monkeypatch):
+        calls = []
+        value = PeriodicCoefficient.value
+
+        def counting(self, t):
+            calls.append(t)
+            return value(self, t)
+
+        monkeypatch.setattr(PeriodicCoefficient, "value", counting)
+        integrate_fundamental(generic_system(), 1024)
+        assert len(calls) <= 1
+
+    def test_non_finite_halving_difference_raises(self):
+        """X is NaN at t + h/4, which only the half steps read: every full
+        step and its determinant stay finite, and the block's norms must not
+        reach the SVD."""
+
+        class NanAtQuarterSteps(PeriodicCoefficient):
+            def table(self, times):
+                x = super().table(times)
+                x[(np.asarray(times, dtype=float) * 64) % 1 == 0.25] = np.nan
+                return x
+
+        coef = NanAtQuarterSteps(period=1.0, a0=x4(1, 2), harmonics=())
+        with pytest.raises(StiffnessSuspected, match="not finite"):
+            integrate_fundamental(coef, 64)
+
+    def test_sample_budget(self):
+        n = 12
+        limit = fq.SAMPLE_BUDGET // (2 * n * n * 8) - 1
+        assert 2 * (limit + 1) * n * n * 8 <= fq.SAMPLE_BUDGET
+        assert 2 * (limit + 2) * n * n * 8 > fq.SAMPLE_BUDGET
+        with pytest.raises(GridTooLarge):
+            integrate_fundamental(constant_system(np.zeros((n, n))), limit + 1)
 
 
 class TestFloquetGenerator:
