@@ -52,6 +52,7 @@ from .projective import (
 )
 from .report import (
     CONVENTIONS,
+    SCHEMA_VERSION,
     components_table,
     dumps_canonical,
     matrix_rows,
@@ -63,6 +64,18 @@ from .report import (
 
 class SimulationContradiction(JordanFlowError):
     """Numerical simulation disagreed with the combinatorial prediction."""
+
+
+#: (error, exit code, stderr label); the first match wins, so every other
+#: library error (``RankAmbiguous``, ``StiffnessSuspected``, ...) exits 1
+_EXIT_CODES = (
+    (InputError, 2, "input error"),
+    (IllConditioned, 3, "ill-conditioned"),
+    (SimulationContradiction, 4, "simulation contradicts prediction"),
+    (GridTooLarge, 5, "input exceeds a stated budget"),
+    (NoRealLog, 6, "no real logarithm"),
+    (JordanFlowError, 1, "error"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +206,21 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _header(args, input_echo, pol):
+    """The keys every report starts with, in report order; ``time`` only
+    for the subcommands that take ``--time``."""
+    head = {
+        "schema": f"{SCHEMA_VERSION}/{args.command.replace('-', '_')}",
+        "command": args.command,
+    }
+    if "time" in args:
+        head["time"] = args.time
+    head["input"] = input_echo
+    head["tolerances"] = tolerances_dict(pol)
+    head["conventions"] = CONVENTIONS
+    return head
+
+
 def _decompose(mat, pol, time_mode):
     if time_mode == "continuous":
         return additive_jordan(mat, pol)
@@ -229,12 +257,7 @@ def cmd_decompose(args):
             "logH": matrix_rows(dec.logH),
         }
     report = {
-        "schema": "jf-schema-1/decompose",
-        "command": "decompose",
-        "time": args.time,
-        "input": input_echo,
-        "tolerances": tolerances_dict(pol),
-        "conventions": CONVENTIONS,
+        **_header(args, input_echo, pol),
         "spectrum": spectrum_dict(dec.spectral),
         "factors": factors,
         "residuals": {k: float(v) for k, v in dec.residuals.items()},
@@ -339,12 +362,7 @@ def cmd_analyze(args):
         )
 
     report = {
-        "schema": "jf-schema-1/analyze",
-        "command": "analyze",
-        "time": args.time,
-        "input": input_echo,
-        "tolerances": tolerances_dict(pol),
-        "conventions": CONVENTIONS,
+        **_header(args, input_echo, pol),
         "spectrum": spectrum_dict(dec.spectral),
         "classification": {
             "h_regular": cls.h_regular,
@@ -393,12 +411,7 @@ def cmd_chain_oracle(args):
     agreement = float(np.mean(member == graph.marked))
 
     report = {
-        "schema": "jf-schema-1/chain_oracle",
-        "command": "chain-oracle",
-        "time": args.time,
-        "input": input_echo,
-        "tolerances": tolerances_dict(pol),
-        "conventions": CONVENTIONS,
+        **_header(args, input_echo, pol),
         "grid": {
             "n": input_echo["n"],
             "resolution": args.resolution,
@@ -439,11 +452,7 @@ def cmd_floquet(args):
         components = components_table(fmd.components)
 
     report = {
-        "schema": "jf-schema-1/floquet",
-        "command": "floquet",
-        "input": input_echo,
-        "tolerances": tolerances_dict(pol),
-        "conventions": CONVENTIONS,
+        **_header(args, input_echo, pol),
         "period": coef.period,
         "steps": args.steps,
         "monodromy": matrix_rows(fd.monodromy),
@@ -529,26 +538,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"jordanflow: input error: {exc}", file=sys.stderr)
-        return 2
-    except IllConditioned as exc:
-        print(f"jordanflow: ill-conditioned: {exc}", file=sys.stderr)
-        if exc.margins:
-            print(f"jordanflow: margins: {exc.margins}", file=sys.stderr)
-        return 3
-    except SimulationContradiction as exc:
-        print(f"jordanflow: simulation contradicts prediction: {exc}", file=sys.stderr)
-        return 4
-    except GridTooLarge as exc:
-        print(f"jordanflow: input exceeds a stated budget: {exc}", file=sys.stderr)
-        return 5
-    except NoRealLog as exc:
-        print(f"jordanflow: no real logarithm: {exc}", file=sys.stderr)
-        return 6
     except JordanFlowError as exc:
-        print(f"jordanflow: error: {exc}", file=sys.stderr)
-        return 1
+        code, label = next(
+            (code, label) for kind, code, label in _EXIT_CODES if isinstance(exc, kind)
+        )
+        print(f"jordanflow: {label}: {exc}", file=sys.stderr)
+        if isinstance(exc, IllConditioned) and exc.margins:
+            print(f"jordanflow: margins: {exc.margins}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

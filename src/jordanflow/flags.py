@@ -10,6 +10,7 @@ against the eigenvalue filtration; no Weyl-group machinery is materialized.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -255,27 +256,35 @@ class RateFiltration:
     def n(self):
         return self.transform.shape[0]
 
+    @property
+    def row_rates(self):
+        """The rate of each row of the frame: the block-diagonal model."""
+        return np.repeat(self.rates, self.mults)
+
     def row_starts(self):
         return np.cumsum((0, *self.mults)).tolist()
 
 
-def rate_filtration(dec, pol=None):
-    pol = pol or DEFAULT_POLICY
-    dec = _as_decomposition(dec)
-    groups = _group_by_rate(dec, pol)
+def _filtration(spectral, continuous, pol):
+    """The rate frame of a clustered spectrum: the one place where clusters
+    are grouped by rate and their bases stacked in rate order."""
     rates, mults, blocks = [], [], []
-    for rate, clusters in groups:
+    for rate, clusters in _group_by_rate(spectral, continuous, pol):
         rates.append(rate)
         mults.append(sum(c.multiplicity for c in clusters))
         blocks.append(np.hstack([c.basis for c in clusters]))
-    transform = np.hstack(blocks)
     return RateFiltration(
         rates=tuple(rates),
         mults=tuple(mults),
         blocks=tuple(blocks),
-        transform=transform,
-        continuous=isinstance(dec, AdditiveJordan),
+        transform=np.hstack(blocks),
+        continuous=continuous,
     )
+
+
+def rate_filtration(dec, pol=None):
+    dec = _as_decomposition(dec)
+    return _filtration(dec.spectral, dec.continuous, pol or DEFAULT_POLICY)
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +317,18 @@ class FlagMorseComponent:
 
 
 def _tables(row_sums, col_sums):
-    """All nonnegative integer matrices with the given margins."""
-    rows = len(row_sums)
-    if rows == 1:
+    """All nonnegative integer matrices with the given margins, in
+    lexicographic order.  A first row is a point of the box
+    prod(range(min(cap, row sum) + 1)) with the right sum; the caps sum to
+    n, so the box has at most 2^n points."""
+    if len(row_sums) == 1:
         yield (tuple(col_sums),)
         return
-
-    def row_fills(total, caps):
-        if len(caps) == 1:
-            if total <= caps[0]:
-                yield (total,)
-            return
-        for first in range(min(total, caps[0]) + 1):
-            for rest in row_fills(total - first, caps[1:]):
-                yield (first,) + rest
-
-    for first_row in row_fills(row_sums[0], list(col_sums)):
+    total = row_sums[0]
+    box = itertools.product(*(range(min(c, total) + 1) for c in col_sums))
+    for first_row in box:
+        if sum(first_row) != total:
+            continue
         remaining = [c - f for c, f in zip(col_sums, first_row)]
         for rest in _tables(row_sums[1:], remaining):
             yield (first_row,) + rest
@@ -353,28 +358,15 @@ def component_dimensions(assignment, rates):
     return tuple(int(d[0]) for d in _pair_counts([assignment], rates))
 
 
-def _greedy_assignment(increments, mults, reverse=False):
-    """Fill increments in order from the sorted pool of cluster slots."""
-    cols = len(mults)
-    pool = list(range(cols))
-    if reverse:
-        pool = pool[::-1]
-    table = [[0] * cols for _ in increments]
-    order = iter(j for j in pool for _ in range(mults[j]))
-    for i, delta in enumerate(increments):
-        for _ in range(delta):
-            table[i][next(order)] += 1
-    return tuple(tuple(r) for r in table)
-
-
 def enumerate_morse_components(filt, dims, pol=None):
     """All Morse components of the flow on the flag manifold of signature dims.
 
     Complete and duplicate-free: the components are exactly the nonnegative
     integer matrices with row sums = flag increments and column sums =
     cluster multiplicities (the double-coset count for the symmetric group).
-    The greedy assignment of the largest rates to the earliest increments is
-    the unique attractor; its reverse the unique repeller.
+    The rates of a filtration are distinct, so exactly one table has no
+    unstable pair, the attractor (largest rates in the earliest increments),
+    and exactly one has no stable pair, the repeller.
     """
     pol = pol or DEFAULT_POLICY
     if not isinstance(filt, RateFiltration):
@@ -383,9 +375,6 @@ def enumerate_morse_components(filt, dims, pol=None):
         dims = FlagType(tuple(dims))
     dims.validate_for(filt.n)
     increments = dims.increments(filt.n)
-    att = _greedy_assignment(increments, filt.mults)
-    rep = _greedy_assignment(increments, filt.mults, reverse=True)
-    # lexicographic order: row_fills counts each entry up from 0
     tables = list(_tables(list(increments), list(filt.mults)))
     dims_c, dims_u, dims_s = (d.tolist() for d in _pair_counts(tables, filt.rates))
     comps = [
@@ -396,8 +385,8 @@ def enumerate_morse_components(filt, dims, pol=None):
             dim_component=dim_c,
             dim_unstable=dim_u,
             dim_stable=dim_s,
-            is_attractor=(table == att),
-            is_repeller=(table == rep),
+            is_attractor=(dim_u == 0),
+            is_repeller=(dim_s == 0),
         )
         for table, dim_c, dim_u, dim_s in zip(tables, dims_c, dims_u, dims_s)
     ]
@@ -432,54 +421,45 @@ def _cell_assignment(flag, filt, pol, reverse=False):
     coordinate rows of each subspace basis counts how much of the subspace
     is visible to the fast (largest-rates) filtration, which is what decides
     the omega-limit.  ``reverse`` classifies against the slow filtration
-    instead (alpha-limits, time reversal).
+    instead (alpha-limits, time reversal).  ``ranks[i, j]`` is the rank of
+    the first j blocks against subspace i; the table is its second
+    difference.
     """
-    n = filt.n
-    blocks = filt.blocks if not reverse else filt.blocks[::-1]
-    mults = filt.mults if not reverse else filt.mults[::-1]
-    q = np.hstack(blocks)
-    y = np.linalg.solve(q, flag.basis)
+    order = slice(None, None, -1 if reverse else 1)
+    mults = filt.mults[order]
+    y = np.linalg.solve(np.hstack(filt.blocks[order]), flag.basis)
     scale = max(1.0, opnorm(y))
     starts = np.cumsum((0, *mults))
-    dlist = list(flag.dims.dims) + [n]
-    k = len(mults)
-    ranks = np.zeros((len(dlist) + 1, k + 1), dtype=int)
+    ranks = np.zeros((len(flag.dims.dims) + 2, len(mults) + 1), dtype=int)
+    ranks[-1] = starts
     worst_margin = math.inf
-    for i, d in enumerate(dlist, start=1):
-        for j in range(1, k + 1):
-            if i == len(dlist):
-                ranks[i, j] = starts[j]
-                continue
-            sub = y[: starts[j], :d]
-            r, margin = _rank_with_margin(sub, scale, pol)
+    for i, d in enumerate(flag.dims.dims, start=1):
+        for j in range(1, len(mults) + 1):
+            ranks[i, j], margin = _rank_with_margin(y[: starts[j], :d], scale, pol)
             worst_margin = min(worst_margin, margin)
-            ranks[i, j] = r
     if worst_margin < 5.0:
         raise RankAmbiguous(
             "a Bruhat rank decision fell within a factor of 5 of its "
             "singular-value threshold",
             margins={"worst_sigma_over_threshold": worst_margin},
         )
-    table = []
-    for i in range(1, len(dlist) + 1):
-        row = []
-        for j in range(1, k + 1):
-            row.append(
-                int(ranks[i, j] - ranks[i - 1, j] - ranks[i, j - 1] + ranks[i - 1, j - 1])
-            )
-        table.append(tuple(row))
-    if reverse:
-        table = [row[::-1] for row in table]
-    table = tuple(tuple(r) for r in table)
-    if any(x < 0 for row in table for x in row):
+    table = np.diff(np.diff(ranks, axis=0), axis=1)[:, order]
+    if (table < 0).any():
         raise IllConditioned(
             "rank pattern is not monotone; flag classification unreliable",
             margins={"worst_sigma_over_threshold": worst_margin},
         )
-    return table, worst_margin
+    return tuple(map(tuple, table.tolist())), worst_margin
 
 
-def _component_index(table, components):
+def _cell_index(flag, dec, dims, pol, components, reverse):
+    """Index of the component whose stable (``reverse``: unstable) set
+    contains the flag."""
+    pol = pol or DEFAULT_POLICY
+    filt = dec if isinstance(dec, RateFiltration) else rate_filtration(dec, pol)
+    if components is None:
+        components = enumerate_morse_components(filt, dims or flag.dims, pol)
+    table, _ = _cell_assignment(flag, filt, pol, reverse)
     for i, c in enumerate(components):
         if c.assignment == table:
             return i
@@ -488,22 +468,12 @@ def _component_index(table, components):
 
 def bruhat_cell(flag, dec, dims=None, pol=None, components=None):
     """Index of the Morse component whose stable set contains the flag."""
-    pol = pol or DEFAULT_POLICY
-    filt = dec if isinstance(dec, RateFiltration) else rate_filtration(dec, pol)
-    if components is None:
-        components = enumerate_morse_components(filt, dims or flag.dims, pol)
-    table, _ = _cell_assignment(flag, filt, pol, reverse=False)
-    return _component_index(table, components)
+    return _cell_index(flag, dec, dims, pol, components, reverse=False)
 
 
 def unstable_bruhat_cell(flag, dec, dims=None, pol=None, components=None):
     """Index of the component whose unstable set contains the flag."""
-    pol = pol or DEFAULT_POLICY
-    filt = dec if isinstance(dec, RateFiltration) else rate_filtration(dec, pol)
-    if components is None:
-        components = enumerate_morse_components(filt, dims or flag.dims, pol)
-    table, _ = _cell_assignment(flag, filt, pol, reverse=True)
-    return _component_index(table, components)
+    return _cell_index(flag, dec, dims, pol, components, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +495,7 @@ def component_defect(flag, component, filt):
     cum = np.cumsum(component.assignment, axis=0)
     worst = 0.0
     # the rate frame's block-diagonal model acts on each row by its rate
-    rates = np.repeat(filt.rates, filt.mults)[:, None]
+    rates = filt.row_rates[:, None]
     model_norm = max(1.0, max(abs(r) for r in filt.rates))
     for i, d in enumerate(flag.dims.dims):
         cols = yo[:, :d]
@@ -588,8 +558,6 @@ class FlowClassification:
     eigen_rates: tuple
     rate_margin: float
     conformal_margin: float
-    continuous: bool
-    flag_dims: tuple
     filtration: RateFiltration
 
 
@@ -633,10 +601,6 @@ def classify_flow(mat_or_dec, dims, pol=None, time="continuous"):
     components = enumerate_morse_components(filt, dims, pol)
     attractor = next(i for i, c in enumerate(components) if c.is_attractor)
     repeller = next(i for i, c in enumerate(components) if c.is_repeller)
-
-    rates_expanded = tuple(
-        float(r) for r, m in zip(filt.rates, filt.mults) for _ in range(m)
-    )
     if not h_regular:
         # non-regular flows must have a positive-dimensional component
         assert any(c.dim_component > 0 for c in components)
@@ -648,11 +612,9 @@ def classify_flow(mat_or_dec, dims, pol=None, time="continuous"):
         components=tuple(components),
         attractor_index=attractor,
         repeller_index=repeller,
-        eigen_rates=rates_expanded,
+        eigen_rates=tuple(filt.row_rates.tolist()),
         rate_margin=float(rate_margin),
         conformal_margin=float(conformal_margin),
-        continuous=filt.continuous,
-        flag_dims=dims.dims,
         filtration=filt,
     )
 
@@ -671,16 +633,10 @@ def height_lyapunov(flag, h_matrix, pol=None):
     """
     pol = pol or DEFAULT_POLICY
     h_matrix = as_square_matrix(h_matrix, "H")
-    data = complex_spectrum(h_matrix, pol)
-    clusters = sorted(data.clusters, key=lambda c: -c.eigenvalue.real)
-    c_frame = np.hstack([c.basis for c in clusters])
-    d_rates = np.concatenate(
-        [np.full(c.multiplicity, c.eigenvalue.real) for c in clusters]
-    )
-    y = np.linalg.solve(c_frame, flag.basis)
-    yo = _orthonormalize(y)
+    filt = _filtration(complex_spectrum(h_matrix, pol), True, pol)
+    yo = _orthonormalize(np.linalg.solve(filt.transform, flag.basis))
+    rates = filt.row_rates[:, None]
     val = 0.0
     for d in flag.dims.dims:
-        cols = yo[:, :d]
-        val += float(np.sum(d_rates[:, None] * cols**2))
+        val += float(np.sum(rates * yo[:, :d] ** 2))
     return -val

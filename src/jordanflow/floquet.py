@@ -237,27 +237,30 @@ def integrate_fundamental(coef, steps):
         # the first half step, columns 1:3 their k2 and k3 coefficients
         times = np.stack([t + h, th, t + q, t, th + q, th + hh], axis=1)
         x = coef.table(times.ravel()).reshape(i1 - i0, 6, n, n)
-        for j in range(i1 - i0):
-            xs = x[j]
-            k1 = xs[3] @ g
-            k2 = xs[1:3] @ (g + mid * k1)
-            k3 = xs[1:3] @ (g + mid * k2)
-            k4 = xs[0:2] @ (g + end * k3)
-            full, y = g + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            k1 = xs[1] @ y
-            k2 = xs[4] @ (y + q * k1)
-            k3 = xs[4] @ (y + q * k2)
-            k4 = xs[5] @ (y + hh * k3)
-            diffs[j] = full - (y + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
-            g = full
-            det = np.linalg.det(g)
-            if det <= 0 or not np.isfinite(det):
-                raise StiffnessSuspected(
-                    f"determinant {det} at t={float(t[j]) + h}; step size unusable"
-                )
-            drift += abs(det - 1.0)
-            g = g * det ** (-1.0 / n)
-            samples[i0 + j + 1] = g
+        # an overflowing step is caught by the determinant and finiteness
+        # tests below, so numpy's overflow warnings would only be noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(i1 - i0):
+                xs = x[j]
+                k1 = xs[3] @ g
+                k2 = xs[1:3] @ (g + mid * k1)
+                k3 = xs[1:3] @ (g + mid * k2)
+                k4 = xs[0:2] @ (g + end * k3)
+                full, y = g + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                k1 = xs[1] @ y
+                k2 = xs[4] @ (y + q * k1)
+                k3 = xs[4] @ (y + q * k2)
+                k4 = xs[5] @ (y + hh * k3)
+                diffs[j] = full - (y + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+                g = full
+                det = np.linalg.det(g)
+                if det <= 0 or not np.isfinite(det):
+                    raise StiffnessSuspected(
+                        f"determinant {det} at t={float(t[j]) + h}; step size unusable"
+                    )
+                drift += abs(det - 1.0)
+                g = g * det ** (-1.0 / n)
+                samples[i0 + j + 1] = g
         block = diffs[: i1 - i0]
         if not np.all(np.isfinite(block)):
             raise StiffnessSuspected(

@@ -177,21 +177,21 @@ class ProjectiveMorseDecomposition:
         )
 
 
-def _cluster_rates(dec):
+def _cluster_rates(spectral, continuous):
     """Exponential rate of each spectral cluster: the real part in continuous
     time, log |lambda| in discrete time."""
-    if dec.continuous:
-        return [c.eigenvalue.real for c in dec.spectral.clusters]
-    return [math.log(abs(c.eigenvalue)) for c in dec.spectral.clusters]
+    if continuous:
+        return [c.eigenvalue.real for c in spectral.clusters]
+    return [math.log(abs(c.eigenvalue)) for c in spectral.clusters]
 
 
-def _group_by_rate(dec, pol):
+def _group_by_rate(spectral, continuous, pol):
     """Group spectral clusters by exponential rate, decreasing.
 
     Rates merge under the same relative rule as eigenvalues do; coincident
     moduli of distinct eigenvalue clusters (e.g. 2 and -2) land in one group.
     """
-    items = list(zip(_cluster_rates(dec), dec.spectral.clusters))
+    items = list(zip(_cluster_rates(spectral, continuous), spectral.clusters))
     items.sort(key=lambda rc: -rc[0])
     groups = []
     for rate, c in items:
@@ -222,7 +222,7 @@ def morse_components_projective(dec, pol=None):
     dec = _as_decomposition(dec)
     cont = isinstance(dec, AdditiveJordan)
     comps = []
-    for rate, clusters in _group_by_rate(dec, pol):
+    for rate, clusters in _group_by_rate(dec.spectral, cont, pol):
         proj = np.sum([c.projection for c in clusters], axis=0)
         stacked = np.hstack([c.basis for c in clusters])
         mult = sum(c.multiplicity for c in clusters)
@@ -362,7 +362,7 @@ def _step_matrix(dec, dt):
 def _rate_spread(dec):
     """Gap between the fastest and slowest exponential rates of the flow;
     this, not the matrix norm, is what exhausts floating-point range."""
-    rates = _cluster_rates(dec)
+    rates = _cluster_rates(dec.spectral, dec.continuous)
     return float(max(rates) - min(rates))
 
 
@@ -459,9 +459,6 @@ class ChainGraph:
     edges: object
     marked: np.ndarray
     covering_radius: float
-
-    def marked_points(self):
-        return [ProjectivePoint(v) for v in self.points[self.marked]]
 
 
 def projective_grid(n, resolution):
@@ -563,8 +560,8 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
         raise GridTooLarge(f"chain oracle supports n in (2, 3); got n={n}")
     if not 8 <= resolution <= MAX_GRID:
         raise GridTooLarge(f"resolution {resolution} outside 8..{MAX_GRID}")
-    if not (eps > 0 and min_time > 0):
-        raise InputError("eps and min_time must be positive")
+    if not (0 < eps < math.inf and 0 < min_time < math.inf):
+        raise InputError("eps and min_time must be positive and finite")
     if leg_doublings < 0:
         raise InputError(f"leg_doublings must be >= 0; got {leg_doublings}")
     candidates = _chain_candidates(n, resolution, eps)

@@ -18,8 +18,10 @@ from jordanflow.errors import (
     IllConditioned,
     InputError,
     NonConvergence,
+    RankAmbiguous,
     StiffnessSuspected,
 )
+from jordanflow.flags import _orthonormalize, _rank_with_margin
 from jordanflow.floquet import (
     MIN_STEPS,
     STIFFNESS_BUDGET,
@@ -33,6 +35,7 @@ from jordanflow.matrixcore import (
     SpectralData,
     _cluster_eigenvalues,
     as_square_matrix,
+    complex_spectrum,
     opnorm,
 )
 
@@ -140,6 +143,94 @@ def pair_counts_bruteforce(table, rates):
                     else:
                         dim_s += pairs
     return dim_c, dim_u, dim_s
+
+
+def greedy_assignment_reference(increments, mults, reverse=False):
+    """The census attractor (``reverse``: repeller) table as
+    ``enumerate_morse_components`` found it before reading the extremes off
+    the pair counts: fill increments in order from the sorted pool of
+    cluster slots."""
+    cols = len(mults)
+    pool = list(range(cols))
+    if reverse:
+        pool = pool[::-1]
+    table = [[0] * cols for _ in increments]
+    order = iter(j for j in pool for _ in range(mults[j]))
+    for i, delta in enumerate(increments):
+        for _ in range(delta):
+            table[i][next(order)] += 1
+    return tuple(tuple(r) for r in table)
+
+
+def cell_assignment_reference(flag, filt, pol, reverse=False):
+    """``flags._cell_assignment`` with the inclusion-exclusion written out
+    entry by entry, as it was before the table became a second difference
+    of the rank array.  Returns (table, worst margin) or raises the same
+    errors."""
+    n = filt.n
+    blocks = filt.blocks if not reverse else filt.blocks[::-1]
+    mults = filt.mults if not reverse else filt.mults[::-1]
+    q = np.hstack(blocks)
+    y = np.linalg.solve(q, flag.basis)
+    scale = max(1.0, opnorm(y))
+    starts = np.cumsum((0, *mults))
+    dlist = list(flag.dims.dims) + [n]
+    k = len(mults)
+    ranks = np.zeros((len(dlist) + 1, k + 1), dtype=int)
+    worst_margin = math.inf
+    for i, d in enumerate(dlist, start=1):
+        for j in range(1, k + 1):
+            if i == len(dlist):
+                ranks[i, j] = starts[j]
+                continue
+            sub = y[: starts[j], :d]
+            r, margin = _rank_with_margin(sub, scale, pol)
+            worst_margin = min(worst_margin, margin)
+            ranks[i, j] = r
+    if worst_margin < 5.0:
+        raise RankAmbiguous(
+            "a Bruhat rank decision fell within a factor of 5 of its "
+            "singular-value threshold",
+            margins={"worst_sigma_over_threshold": worst_margin},
+        )
+    table = []
+    for i in range(1, len(dlist) + 1):
+        row = []
+        for j in range(1, k + 1):
+            row.append(
+                int(ranks[i, j] - ranks[i - 1, j] - ranks[i, j - 1] + ranks[i - 1, j - 1])
+            )
+        table.append(tuple(row))
+    if reverse:
+        table = [row[::-1] for row in table]
+    table = tuple(tuple(r) for r in table)
+    if any(x < 0 for row in table for x in row):
+        raise IllConditioned(
+            "rank pattern is not monotone; flag classification unreliable",
+            margins={"worst_sigma_over_threshold": worst_margin},
+        )
+    return table, worst_margin
+
+
+def height_lyapunov_reference(flag, h_matrix, pol=None):
+    """``flags.height_lyapunov`` with its own frame, as it was before it
+    built through the rate filtration: clusters sorted by real part, their
+    bases stacked, each row weighted by its cluster's real part."""
+    pol = pol or DEFAULT_POLICY
+    h_matrix = as_square_matrix(h_matrix, "H")
+    data = complex_spectrum(h_matrix, pol)
+    clusters = sorted(data.clusters, key=lambda c: -c.eigenvalue.real)
+    c_frame = np.hstack([c.basis for c in clusters])
+    d_rates = np.concatenate(
+        [np.full(c.multiplicity, c.eigenvalue.real) for c in clusters]
+    )
+    y = np.linalg.solve(c_frame, flag.basis)
+    yo = _orthonormalize(y)
+    val = 0.0
+    for d in flag.dims.dims:
+        cols = yo[:, :d]
+        val += float(np.sum(d_rates[:, None] * cols**2))
+    return -val
 
 
 def _fmt_float_reference(x):

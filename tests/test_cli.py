@@ -13,7 +13,16 @@ import pytest
 import jsonschema
 
 import jordanflow
-from jordanflow.cli import main
+from jordanflow.cli import SimulationContradiction, main
+from jordanflow.errors import (
+    GridTooLarge,
+    IllConditioned,
+    InputError,
+    NoRealLog,
+    NotNilpotent,
+    RankAmbiguous,
+    StiffnessSuspected,
+)
 from jordanflow.floquet import SAMPLE_BUDGET
 from jordanflow.projective import (
     CHAIN_PAIR_BUDGET,
@@ -399,6 +408,35 @@ class TestChainOracleRefusals:
         code, _ = self.run_traced(tmp_path, "--resolution", "400", "--eps", "nan")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "time, option",
+        [
+            ("discrete", "--min-time=inf"),
+            ("continuous", "--min-time=inf"),
+            ("continuous", "--min-time=nan"),
+            ("continuous", "--eps=inf"),
+            ("discrete", "--eps=-inf"),
+            ("continuous", "--eps=0"),
+        ],
+    )
+    def test_eps_and_min_time_not_positive_finite_exit_2(
+        self, tmp_path, monkeypatch, capsys, time, option
+    ):
+        """Refused before the grid is built: an infinite discrete leg time
+        reached int(inf), an infinite eps built every leg first."""
+        import jordanflow.projective as projective
+
+        def refuse(*args):
+            raise AssertionError("built the grid before refusing the input")
+
+        monkeypatch.setattr(projective, "projective_grid", refuse)
+        mat = [[1.0, 1.0], [0.0, 1.0]] if time == "discrete" else [[0.0, 1.0], [0.0, 0.0]]
+        f = write_matrix(tmp_path / "m.json", np.array(mat))
+        assert main(["chain-oracle", str(f), "--time", time, option]) == 2
+        assert capsys.readouterr().err == (
+            "jordanflow: input error: eps and min_time must be positive and finite\n"
+        )
+
     def test_pair_budget_plus_one_exit_5(self, tmp_path):
         """eps >= sqrt(2) makes every pair an edge: the largest grid within
         budget is the last N whose N^2 edges fit it."""
@@ -593,14 +631,15 @@ class TestFloquetRefusals:
 
     def test_huge_period_exit_1(self, tmp_path, capsys):
         """T = 1e308: the first RK4 step overflows, which the determinant
-        check reports as stiffness instead of an SVD traceback."""
+        check reports as stiffness instead of an SVD traceback, in one line
+        and without numpy overflow warnings."""
         doc = {"T": 1e308, "A0": [[0.0, 1.0], [-1.0, 0.0]], "harmonics": []}
         f = tmp_path / "p.json"
         f.write_text(json.dumps(doc))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["floquet", str(f)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("jordanflow: error: determinant")
+        assert main(["floquet", str(f)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "jordanflow: error: determinant nan at t=9.765625e+304; step size unusable"
+        ]
 
     def test_sample_budget_plus_one_exit_5(self, tmp_path):
         n = 12
@@ -616,6 +655,35 @@ class TestFloquetRefusals:
             tracemalloc.stop()
         assert code == 5
         assert peak < 10 * 2**20
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc, code, err",
+        [
+            (InputError("bad"), 2, ["input error: bad"]),
+            (
+                IllConditioned("close", margins={"gap": 0.5}),
+                3,
+                ["ill-conditioned: close", "margins: {'gap': 0.5}"],
+            ),
+            (SimulationContradiction("off"), 4, ["simulation contradicts prediction: off"]),
+            (GridTooLarge("big"), 5, ["input exceeds a stated budget: big"]),
+            (NoRealLog("none"), 6, ["no real logarithm: none"]),
+            (RankAmbiguous("near", margins={"s": 2.0}), 1, ["error: near"]),
+            (StiffnessSuspected("stiff"), 1, ["error: stiff"]),
+            (NotNilpotent("not"), 1, ["error: not"]),
+        ],
+    )
+    def test_error_maps_to_code_and_label(self, monkeypatch, capsys, exc, code, err):
+        import jordanflow.cli as cli
+
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_decompose", fail)
+        assert main(["decompose", "unread.json"]) == code
+        assert capsys.readouterr().err.splitlines() == [f"jordanflow: {e}" for e in err]
 
 
 class TestEntryPoint:

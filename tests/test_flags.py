@@ -26,15 +26,23 @@ from jordanflow import (
     wedge_infinitesimal,
     wedge_representation,
 )
+from jordanflow.errors import IllConditioned, RankAmbiguous
 from jordanflow.flags import (
     RateFiltration,
+    _cell_assignment,
     _tables,
     component_defect,
     flag_distance,
     nearest_component,
     random_flag,
 )
-from oracles import contingency_tables_bruteforce, pair_counts_bruteforce
+from oracles import (
+    cell_assignment_reference,
+    contingency_tables_bruteforce,
+    greedy_assignment_reference,
+    height_lyapunov_reference,
+    pair_counts_bruteforce,
+)
 from systems import E1, E2, E3, rotation, x1, x4, x5
 
 
@@ -363,6 +371,91 @@ class TestBruhatCell:
             )
             widx = stable_set_index(plucker_embed(f), wmd, pol)
             assert wmd.components[widx].rate == pytest.approx(predicted_rate, abs=1e-9)
+
+
+def _repeated_rate_dec(rng, discrete):
+    """A conjugated block-diagonal flow on R^n, n <= 8, whose rates repeat:
+    real eigenvalues drawn with replacement from a small pool, sometimes a
+    rotation block whose rate coincides with one of them."""
+    n = int(rng.integers(2, 9))
+    pool = rng.choice(np.arange(-6, 7) * 0.5, int(rng.integers(1, n + 1)), replace=False)
+    rates = rng.choice(pool, size=n)
+    x = np.diag(rates - rates.mean())
+    if n >= 3 and rng.random() < 0.5:
+        x[0, 1], x[1, 0] = -1.5, 1.5
+        x[0, 0] = x[1, 1] = x[2, 2]
+        x -= np.trace(x) / n * np.eye(n)
+    c = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+    x = c @ x @ np.linalg.inv(c)
+    return multiplicative_jordan(matrix_exp(x)) if discrete else additive_jordan(x)
+
+
+def _random_dims(rng, n):
+    cuts = rng.choice(np.arange(1, n), size=int(rng.integers(1, n)), replace=False)
+    return FlagType(tuple(sorted(int(c) for c in cuts)))
+
+
+def _outcome(fn, *args):
+    """(table, margin bits), or (error type, message, margin bits)."""
+    try:
+        table, margin = fn(*args)
+    except (RankAmbiguous, IllConditioned) as exc:
+        margins = {k: float.hex(float(v)) for k, v in exc.margins.items()}
+        return type(exc), str(exc), margins
+    assert all(type(x) is int for row in table for x in row)
+    return table, float.hex(float(margin))
+
+
+class TestRateOrderReferences:
+    """The rate order is encoded once, in the rate filtration; the census
+    extremes, the Bruhat table and the Lyapunov value equal, bit for bit,
+    the constructions that each re-derived it."""
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_references(self, seed, discrete, pol):
+        rng = np.random.default_rng([seed, discrete])
+        dec = _repeated_rate_dec(rng, discrete)
+        filt = rate_filtration(dec, pol)
+        n = filt.n
+        assert list(filt.rates) == sorted(set(filt.rates), reverse=True)
+        for _ in range(2):
+            dims = _random_dims(rng, n)
+            comps = enumerate_morse_components(filt, dims, pol)
+            inc = dims.increments(n)
+            att = greedy_assignment_reference(inc, filt.mults)
+            rep = greedy_assignment_reference(inc, filt.mults, reverse=True)
+            assert [c.is_attractor for c in comps] == [c.assignment == att for c in comps]
+            assert [c.is_repeller for c in comps] == [c.assignment == rep for c in comps]
+            hmat = dec.logH if discrete else dec.H
+            for _ in range(4):
+                f = random_flag(n, dims, rng)
+                for reverse in (False, True):
+                    assert _outcome(_cell_assignment, f, filt, pol, reverse) == _outcome(
+                        cell_assignment_reference, f, filt, pol, reverse
+                    )
+                got = height_lyapunov(f, hmat, pol)
+                assert float.hex(got) == float.hex(height_lyapunov_reference(f, hmat, pol))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_near_threshold_flag(self, seed, reverse, pol):
+        """A line whose leading rate-frame coordinate is twice the rank
+        threshold: both raise RankAmbiguous with the same margin."""
+        rng = np.random.default_rng(seed)
+        filt = rate_filtration(_repeated_rate_dec(rng, discrete=False), pol)
+        while len(filt.mults) == 1:  # one rate: every rank is full
+            filt = rate_filtration(_repeated_rate_dec(rng, discrete=False), pol)
+        q = filt.transform
+        lead, tail = (q.shape[1] - 1, 0) if reverse else (0, q.shape[1] - 1)
+        y = np.zeros(q.shape[1])
+        y[tail] = 1.0
+        y[lead] = 2.0 * pol.residual_tol * max(1.0, 1.0 / np.linalg.norm(q[:, tail]))
+        y[lead] *= np.linalg.norm(q @ y)
+        f = Flag((q @ y / np.linalg.norm(q @ y))[:, None], (1,))
+        ref = _outcome(cell_assignment_reference, f, filt, pol, reverse)
+        assert ref[0] is RankAmbiguous
+        assert _outcome(_cell_assignment, f, filt, pol, reverse) == ref
 
 
 class TestClassify:
