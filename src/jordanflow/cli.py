@@ -3,8 +3,9 @@
 Exit codes are part of the contract: 0 success, 2 parse or validation
 error, 3 ill-conditioned clustering, 4 simulation contradicts prediction,
 5 input exceeds a stated budget (chain grid size or pair count, Floquet
-sample memory), 6 no real logarithm in the Floquet budget, 1 anything
-else.  Identical inputs and flags produce byte-identical reports.
+sample memory, simulation substeps or trajectory rows), 6 no real
+logarithm in the Floquet budget, 1 anything else.  Identical inputs and
+flags produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .floquet import (
 from .jordan import additive_jordan, multiplicative_jordan
 from .matrixcore import TolerancePolicy, matrix_exp, opnorm
 from .projective import (
+    SUBSTEP_BUDGET,
     ProjectivePoint,
     chain_oracle,
     morse_components_projective,
@@ -142,7 +144,7 @@ def parse_periodic_input(path):
         if not isinstance(item, dict) or not {"k", "A", "B"} <= set(item):
             raise InputError('each harmonic needs {"k": ..., "A": [[...]], "B": [[...]]}')
         k = item["k"]
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise InputError(f"harmonic index {k!r} must be a positive integer")
         harmonics.append(
             (
@@ -171,7 +173,7 @@ def parse_flag_input(path, n):
     if not isinstance(doc, dict) or "dims" not in doc or "basis" not in doc:
         raise InputError('flag input needs {"dims": [...], "basis": [[...], ...]}')
     dims = doc["dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise InputError("flag dims must be a list of integers")
     basis = doc["basis"]
     if not isinstance(basis, list) or len(basis) != n:
@@ -273,6 +275,10 @@ def _write_trajectory_csv(path, dec, md, pol, seed, horizon):
     p0 = ProjectivePoint(rng.normal(size=n))
     target = stable_set_index(p0, md, pol)
     step = 0.5 if dec.continuous else 1
+    if (horizon + step / 2) / step > SUBSTEP_BUDGET:
+        raise GridTooLarge(
+            f"--horizon {horizon:g} needs more than {SUBSTEP_BUDGET} trajectory rows"
+        )
     ts = np.arange(0.0, horizon + step / 2, step)
     traj = simulate_projective(dec, p0, ts)
     with open(path, "w", newline="") as fh:
@@ -543,7 +549,7 @@ def main(argv=None):
             (code, label) for kind, code, label in _EXIT_CODES if isinstance(exc, kind)
         )
         print(f"jordanflow: {label}: {exc}", file=sys.stderr)
-        if isinstance(exc, IllConditioned) and exc.margins:
+        if getattr(exc, "margins", None):
             print(f"jordanflow: margins: {exc.margins}", file=sys.stderr)
         return code
 

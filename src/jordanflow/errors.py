@@ -13,16 +13,17 @@ class NonConvergence(JordanFlowError):
     """The eigenvalue iteration failed to converge."""
 
 
-class IllConditioned(JordanFlowError):
-    """Spectral clusters cannot be separated reliably at the requested tolerance.
-
-    Carries the measured residuals/margins so the caller can report rather
-    than guess.
-    """
+class _WithMargins(JordanFlowError):
+    """A refusal that carries the measured residuals/margins, so the caller
+    can report rather than guess."""
 
     def __init__(self, message, margins=None):
         super().__init__(message)
         self.margins = dict(margins or {})
+
+
+class IllConditioned(_WithMargins):
+    """Spectral clusters cannot be separated reliably at the requested tolerance."""
 
 
 class Singular(JordanFlowError):
@@ -51,20 +52,17 @@ class DimensionTooLarge(JordanFlowError):
 
 class GridTooLarge(JordanFlowError):
     """Input exceeds a stated budget: a chain-oracle grid that is infeasible
-    (dimension, resolution or pair budget), or Floquet samples above
-    ``floquet.SAMPLE_BUDGET``."""
+    (dimension, resolution or pair budget), Floquet samples above
+    ``floquet.SAMPLE_BUDGET``, or a simulation leg or trajectory longer than
+    ``projective.SUBSTEP_BUDGET`` substeps or rows."""
 
 
-class RankAmbiguous(JordanFlowError):
+class RankAmbiguous(_WithMargins):
     """A rank decision fell too close to its singular-value threshold.
 
     ``margins`` maps a description of each offending decision to the ratio
     sigma / threshold.
     """
-
-    def __init__(self, message, margins=None):
-        super().__init__(message)
-        self.margins = dict(margins or {})
 
 
 class StiffnessSuspected(JordanFlowError):

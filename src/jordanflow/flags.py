@@ -133,6 +133,8 @@ class Flag:
         b = np.array(basis, dtype=float)
         if b.ndim != 2:
             raise InputError("flag basis must be an n x d matrix")
+        if not np.all(np.isfinite(b)):
+            raise InputError("flag basis has non-finite entries")
         n, d = b.shape
         dims.validate_for(n)
         if d != dims.dims[-1]:

@@ -137,37 +137,24 @@ class SpectralData:
 
 
 def _cluster_eigenvalues(w, cluster_tol):
-    """Group eigenvalues by relative distance, conjugate-closed.
+    """One cluster label per eigenvalue, clusters numbered by first member.
 
-    Union-find over the eigenvalue list; two eigenvalues merge when either
-    one (or the conjugate of one) is within cluster_tol * max(1, |.|) of the
-    other.  Folding the conjugate into the merge rule guarantees every
-    cluster of a real matrix is closed under conjugation.
+    Two eigenvalues are close when either one (or the conjugate of one) is
+    within cluster_tol * max(1, |.|) of the other; the clusters are the
+    classes of the transitive closure of closeness, so a chain a ~ b ~ c is
+    one cluster even when |a - c| exceeds the gap.  Folding the conjugate
+    into the rule closes every cluster of a real matrix under conjugation.
     """
-    n = len(w)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = cluster_tol * max(1.0, abs(w[i]), abs(w[j]))
-            if abs(w[i] - w[j]) < gap or abs(np.conj(w[i]) - w[j]) < gap:
-                union(i, j)
-
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    # moduli by libm's hypot, as abs() of one eigenvalue takes them; the
+    # SIMD loop behind np.abs of a complex array may round differently
+    mod = np.hypot(w.real, w.imag)
+    gap = cluster_tol * np.maximum(1.0, np.maximum.outer(mod, mod))
+    diff = np.stack([w[:, None] - w, np.conj(w)[:, None] - w])
+    reach = (np.hypot(diff.real, diff.imag) < gap).any(axis=0)
+    # reach is reflexive, so k squarings join every path of up to 2^k steps
+    for _ in range(len(w).bit_length()):
+        reach = (reach.astype(np.int64) @ reach) > 0
+    return np.unique(reach.argmax(axis=1), return_inverse=True)[1]
 
 
 def complex_spectrum(a, pol=None):
@@ -194,10 +181,7 @@ def complex_spectrum(a, pol=None):
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
 
-    groups = _cluster_eigenvalues(w, pol.cluster_tol)
-    label = np.empty(n, dtype=int)
-    for gi, idx in enumerate(groups):
-        label[idx] = gi
+    label = _cluster_eigenvalues(w, pol.cluster_tol)
 
     def group_of(wr, wi):
         # the cluster of the computed eigenvalue nearest to each Schur eigenvalue
@@ -211,19 +195,18 @@ def complex_spectrum(a, pol=None):
     # is a conjugate pair when the representative keeps a genuine imaginary
     # part at clustering scale.
     reps = []
-    for idx in groups:
-        members = w[idx]
+    for gi in range(label.max() + 1):
+        members = w[label == gi]
         re = float(np.mean(members.real))
         im = float(np.mean(np.abs(members.imag)))
         is_pair = im > pol.cluster_tol * max(1.0, abs(complex(re, im)))
-        reps.append((complex(re, im if is_pair else 0.0), is_pair, members))
+        reps.append((complex(re, im if is_pair else 0.0), is_pair, gi, members))
     # deterministic order: decreasing real part, then increasing |Im|
-    order = sorted(range(len(reps)), key=lambda k: (-reps[k][0].real, reps[k][0].imag))
+    reps.sort(key=lambda rep: (-rep[0].real, rep[0].imag))
 
     clusters = []
-    for gi in order:
-        lam, is_pair, members = reps[gi]
-        m = len(groups[gi])
+    for lam, is_pair, gi, members in reps:
+        m = len(members)
         t, z, wr, wi, *_, info = sla.lapack.dtrsen(
             (diagonal_groups == gi).astype(int), t0, z0, job="N"
         )
@@ -249,10 +232,8 @@ def complex_spectrum(a, pol=None):
             block = t
         else:
             t11 = t[:m, :m]
-            t12 = t[:m, m:]
-            t22 = t[m:, m:]
             # block-diagonalize: T11 Y - Y T22 = -T12
-            y = sla.solve_sylvester(t11, -t22, -t12)
+            y = sla.solve_sylvester(t11, -t[m:, m:], -t[:m, m:])
             basis = z[:, :m]
             left = basis.T - y @ z[:, m:].T
             proj = basis @ left
@@ -270,17 +251,21 @@ def complex_spectrum(a, pol=None):
             )
         )
 
-    projs = [c.projection for c in clusters]
-    res = {
-        "sum": opnorm(sum(projs) - np.eye(n)),
-        "idempotent": max(opnorm(p @ p - p) for p in projs),
-        "commute": max(opnorm(a @ p - p @ a) for p in projs),
+    # the certificate: the largest 2-norm in each family of matrices, all
+    # from one batched SVD (per matrix, the LAPACK call opnorm makes)
+    projs = np.array([c.projection for c in clusters])
+    first, second = np.triu_indices(len(projs), 1)
+    families = {
+        "sum": (sum(projs) - np.eye(n))[None],
+        "idempotent": projs @ projs - projs,
+        "commute": a @ projs - projs @ a,
+        "disjoint": projs[first] @ projs[second],
+        "projection_norm": projs,
     }
-    disjoint = 0.0
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            disjoint = max(disjoint, opnorm(projs[i] @ projs[j]))
-    res["disjoint"] = disjoint
+    norms = np.linalg.norm(np.concatenate(list(families.values())), 2, axis=(1, 2))
+    parts = np.split(norms, np.cumsum([len(f) for f in families.values()])[:-1])
+    res = {key: float(part.max(initial=0.0)) for key, part in zip(families, parts)}
+    pnorm = res.pop("projection_norm")
     worst = max(res.values())
     if worst > pol.residual_tol * scale * n * 10:
         raise IllConditioned(
@@ -291,7 +276,6 @@ def complex_spectrum(a, pol=None):
         )
     # nearly-parallel invariant subspaces make every downstream residual_tol
     # certificate unattainable; report instead of guessing
-    pnorm = max(opnorm(c.projection) for c in clusters)
     if pnorm > 0.1 / pol.residual_tol:
         raise IllConditioned(
             f"spectral projection norm {pnorm:.3e} exceeds "

@@ -21,7 +21,6 @@ from jordanflow.errors import (
     RankAmbiguous,
     StiffnessSuspected,
 )
-from jordanflow.flags import _orthonormalize, _rank_with_margin
 from jordanflow.floquet import (
     MIN_STEPS,
     STIFFNESS_BUDGET,
@@ -33,7 +32,6 @@ from jordanflow.matrixcore import (
     MAX_DIM,
     SpectralCluster,
     SpectralData,
-    _cluster_eigenvalues,
     as_square_matrix,
     complex_spectrum,
     opnorm,
@@ -162,6 +160,31 @@ def greedy_assignment_reference(increments, mults, reverse=False):
     return tuple(tuple(r) for r in table)
 
 
+def orthonormalize_reference(b):
+    """QR with positive diagonal; leading-column spans are preserved, so the
+    nested subspaces of a flag survive re-orthonormalization.  A frozen copy
+    of ``flags._orthonormalize``."""
+    q, r = np.linalg.qr(b)
+    sign = np.sign(np.diag(r))
+    sign[sign == 0] = 1.0
+    return q * sign
+
+
+def rank_with_margin_reference(mat, tol_scale, pol):
+    """(rank, worst sigma/threshold ratio) of one rank decision.  A frozen
+    copy of ``flags._rank_with_margin``."""
+    if mat.size == 0:
+        return 0, math.inf
+    sv = np.linalg.svd(mat, compute_uv=False)
+    thresh = pol.residual_tol * max(1.0, tol_scale)
+    rank = int(np.sum(sv > thresh))
+    margin = math.inf
+    for s in sv:
+        ratio = s / thresh if s > thresh else thresh / max(s, 1e-300)
+        margin = min(margin, ratio)
+    return rank, margin
+
+
 def cell_assignment_reference(flag, filt, pol, reverse=False):
     """``flags._cell_assignment`` with the inclusion-exclusion written out
     entry by entry, as it was before the table became a second difference
@@ -184,7 +207,7 @@ def cell_assignment_reference(flag, filt, pol, reverse=False):
                 ranks[i, j] = starts[j]
                 continue
             sub = y[: starts[j], :d]
-            r, margin = _rank_with_margin(sub, scale, pol)
+            r, margin = rank_with_margin_reference(sub, scale, pol)
             worst_margin = min(worst_margin, margin)
             ranks[i, j] = r
     if worst_margin < 5.0:
@@ -225,7 +248,7 @@ def height_lyapunov_reference(flag, h_matrix, pol=None):
         [np.full(c.multiplicity, c.eigenvalue.real) for c in clusters]
     )
     y = np.linalg.solve(c_frame, flag.basis)
-    yo = _orthonormalize(y)
+    yo = orthonormalize_reference(y)
     val = 0.0
     for d in flag.dims.dims:
         cols = yo[:, :d]
@@ -312,6 +335,44 @@ def chain_graph_dense(pts, g1, eps, leg_doublings):
     return adj, marked, covering
 
 
+def cluster_eigenvalues_union_find(w, cluster_tol):
+    """Group eigenvalues by relative distance, conjugate-closed.
+
+    Union-find over the eigenvalue list; two eigenvalues merge when either
+    one (or the conjugate of one) is within cluster_tol * max(1, |.|) of the
+    other.  Folding the conjugate into the merge rule guarantees every
+    cluster of a real matrix is closed under conjugation.
+
+    The clustering ``matrixcore.complex_spectrum`` used before its Boolean
+    transitive closure; returns the index lists of the clusters, ordered by
+    first member.
+    """
+    n = len(w)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = cluster_tol * max(1.0, abs(w[i]), abs(w[j]))
+            if abs(w[i] - w[j]) < gap or abs(np.conj(w[i]) - w[j]) < gap:
+                union(i, j)
+
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 def complex_spectrum_ordered_schur(a, pol=None):
     """Clustered complex spectrum of a real matrix with real eigenprojections.
 
@@ -338,7 +399,7 @@ def complex_spectrum_ordered_schur(a, pol=None):
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
 
-    groups = _cluster_eigenvalues(w, pol.cluster_tol)
+    groups = cluster_eigenvalues_union_find(w, pol.cluster_tol)
 
     # Canonical representative: mean of (Re, |Im|) over the members; a cluster
     # is a conjugate pair when the representative keeps a genuine imaginary

@@ -24,14 +24,17 @@ from jordanflow.errors import (
     StiffnessSuspected,
 )
 from jordanflow.floquet import SAMPLE_BUDGET
+from jordanflow.matrixcore import TolerancePolicy
 from jordanflow.projective import (
     CHAIN_PAIR_BUDGET,
     MAX_GRID,
+    SUBSTEP_BUDGET,
     _EDGE_BYTES,
     _chain_candidates,
 )
 from jordanflow.report import dumps_canonical, load_schema
 from systems import random_sl, x4, x5
+from test_flags import planted_near_threshold_flag
 
 
 def write_matrix(path, mat):
@@ -342,6 +345,68 @@ class TestAnalyzeRefusals:
         assert not out.exists()
 
 
+class TestAnalyzeBudgets:
+    """A finite but huge --horizon exits 5 at once, in one stderr line and
+    without allocating."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--simulate", "1", "--horizon", "1e30"],
+            ["--simulate", "1", "--horizon", "1.7e308"],
+            ["--time", "discrete", "--simulate", "1", "--horizon", "1e30"],
+            ["--trajectory-out", "t.csv", "--horizon", "1e30"],
+            ["--trajectory-out", "t.csv", "--horizon", str(SUBSTEP_BUDGET / 2)],
+        ],
+    )
+    def test_exit_5(self, x4_file, tmp_path, monkeypatch, capsys, extra):
+        monkeypatch.chdir(tmp_path)
+        argv = ["analyze", str(x4_file), "--flag", "1", "-o", "out.json", *extra]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("jordanflow: input exceeds a stated budget:")
+        assert peak < 10 * 2**20
+        assert not (tmp_path / "out.json").exists()
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_rows_at_budget_exit_0(self, x4_file, tmp_path):
+        traj = tmp_path / "t.csv"
+        horizon = (SUBSTEP_BUDGET - 1) / 2
+        argv = ["analyze", str(x4_file), "--flag", "1", "--trajectory-out", str(traj),
+                "--horizon", str(horizon), "-o", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        with open(traj) as fh:
+            assert sum(1 for _ in fh) == SUBSTEP_BUDGET + 1
+
+
+class TestFlagInputRefusals:
+    """Malformed values in a --classify-flag file exit 2 with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "flag_doc",
+        [
+            '{"dims": [1], "basis": [[NaN], [0.0], [1.0]]}',
+            '{"dims": [1], "basis": [[Infinity], [0.0], [1.0]]}',
+            '{"dims": [1], "basis": [[-Infinity], [0.0], [1.0]]}',
+            '{"dims": [true], "basis": [[0.0], [0.0], [1.0]]}',
+            '{"dims": [1.0], "basis": [[0.0], [0.0], [1.0]]}',
+        ],
+    )
+    def test_flag_input_exit_2(self, x4_file, tmp_path, capsys, flag_doc):
+        ff = tmp_path / "flag.json"
+        ff.write_text(flag_doc)
+        argv = ["analyze", str(x4_file), "--flag", "1", "--classify-flag", str(ff)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("jordanflow: input error:")
+
+
 class TestChainOracle:
     def test_unipotent_all_marked(self, tmp_path):
         f = write_matrix(tmp_path / "u.json", np.array([[1.0, 1], [0, 1]]))
@@ -641,6 +706,13 @@ class TestFloquetRefusals:
             "jordanflow: error: determinant nan at t=9.765625e+304; step size unusable"
         ]
 
+    @pytest.mark.parametrize("k", [True, False, 0, 1.0, "1"])
+    def test_harmonic_index_not_positive_integer_exit_2(self, tmp_path, monkeypatch, k):
+        zero = [[0.0, 0.0], [0.0, 0.0]]
+        harmonic = {"k": k, "A": zero, "B": zero}
+        doc = {"T": 1.0, "A0": [[0.0, 1.0], [-1.0, 0.0]], "harmonics": [harmonic]}
+        assert self.run(tmp_path, monkeypatch, doc) == 2
+
     def test_sample_budget_plus_one_exit_5(self, tmp_path):
         n = 12
         limit = SAMPLE_BUDGET // (2 * (n * n * 8)) - 1
@@ -670,7 +742,11 @@ class TestExitCodes:
             (SimulationContradiction("off"), 4, ["simulation contradicts prediction: off"]),
             (GridTooLarge("big"), 5, ["input exceeds a stated budget: big"]),
             (NoRealLog("none"), 6, ["no real logarithm: none"]),
-            (RankAmbiguous("near", margins={"s": 2.0}), 1, ["error: near"]),
+            (
+                RankAmbiguous("near", margins={"s": 2.0}),
+                1,
+                ["error: near", "margins: {'s': 2.0}"],
+            ),
             (StiffnessSuspected("stiff"), 1, ["error: stiff"]),
             (NotNilpotent("not"), 1, ["error: not"]),
         ],
@@ -684,6 +760,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_decompose", fail)
         assert main(["decompose", "unread.json"]) == code
         assert capsys.readouterr().err.splitlines() == [f"jordanflow: {e}" for e in err]
+
+    def test_rank_ambiguous_margins_reach_stderr(self, tmp_path, capsys):
+        pol = TolerancePolicy()
+        dec, _, flag = planted_near_threshold_flag(0, False, pol)
+        m = write_matrix(tmp_path / "m.json", dec.X)
+        ff = tmp_path / "flag.json"
+        ff.write_text(json.dumps({"dims": [1], "basis": flag.basis.tolist()}))
+        argv = ["analyze", str(m), "--flag", "1", "--classify-flag", str(ff)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("jordanflow: error: a Bruhat rank")
+        assert err[1].startswith("jordanflow: margins: {'worst_sigma_over_threshold': ")
 
 
 class TestEntryPoint:

@@ -93,6 +93,12 @@ class TestFlag:
         with pytest.raises(InputError):
             Flag(b, (1, 2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        b = np.array([[1.0, 0.0], [0.0, bad], [0.0, 0.0]])
+        with pytest.raises(InputError, match="non-finite"):
+            Flag(b, (1, 2))
+
     def test_canonical_basis_is_basis_independent(self, rng):
         f = random_flag(4, (1, 3), rng)
         # same flag, different basis: rotate inside the top block
@@ -390,6 +396,25 @@ def _repeated_rate_dec(rng, discrete):
     return multiplicative_jordan(matrix_exp(x)) if discrete else additive_jordan(x)
 
 
+def planted_near_threshold_flag(seed, reverse, pol):
+    """(dec, filtration, line) with at least two rates, the line's leading
+    rate-frame coordinate twice the rank threshold (``reverse``: the
+    trailing one)."""
+    rng = np.random.default_rng(seed)
+    dec = _repeated_rate_dec(rng, discrete=False)
+    filt = rate_filtration(dec, pol)
+    while len(filt.mults) == 1:  # one rate: every rank is full
+        dec = _repeated_rate_dec(rng, discrete=False)
+        filt = rate_filtration(dec, pol)
+    q = filt.transform
+    lead, tail = (q.shape[1] - 1, 0) if reverse else (0, q.shape[1] - 1)
+    y = np.zeros(q.shape[1])
+    y[tail] = 1.0
+    y[lead] = 2.0 * pol.residual_tol * max(1.0, 1.0 / np.linalg.norm(q[:, tail]))
+    y[lead] *= np.linalg.norm(q @ y)
+    return dec, filt, Flag((q @ y / np.linalg.norm(q @ y))[:, None], (1,))
+
+
 def _random_dims(rng, n):
     cuts = rng.choice(np.arange(1, n), size=int(rng.integers(1, n)), replace=False)
     return FlagType(tuple(sorted(int(c) for c in cuts)))
@@ -442,17 +467,7 @@ class TestRateOrderReferences:
     def test_planted_near_threshold_flag(self, seed, reverse, pol):
         """A line whose leading rate-frame coordinate is twice the rank
         threshold: both raise RankAmbiguous with the same margin."""
-        rng = np.random.default_rng(seed)
-        filt = rate_filtration(_repeated_rate_dec(rng, discrete=False), pol)
-        while len(filt.mults) == 1:  # one rate: every rank is full
-            filt = rate_filtration(_repeated_rate_dec(rng, discrete=False), pol)
-        q = filt.transform
-        lead, tail = (q.shape[1] - 1, 0) if reverse else (0, q.shape[1] - 1)
-        y = np.zeros(q.shape[1])
-        y[tail] = 1.0
-        y[lead] = 2.0 * pol.residual_tol * max(1.0, 1.0 / np.linalg.norm(q[:, tail]))
-        y[lead] *= np.linalg.norm(q @ y)
-        f = Flag((q @ y / np.linalg.norm(q @ y))[:, None], (1,))
+        _, filt, f = planted_near_threshold_flag(seed, reverse, pol)
         ref = _outcome(cell_assignment_reference, f, filt, pol, reverse)
         assert ref[0] is RankAmbiguous
         assert _outcome(_cell_assignment, f, filt, pol, reverse) == ref

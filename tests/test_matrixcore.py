@@ -19,8 +19,10 @@ from jordanflow import (
     spectral_radius,
     unipotent_log,
 )
+from jordanflow.matrixcore import _cluster_eigenvalues
 from jordanflow.report import spectrum_dict
 from oracles import (
+    cluster_eigenvalues_union_find,
     companion,
     complex_spectrum_ordered_schur,
     exp_series,
@@ -98,6 +100,22 @@ class TestComplexSpectrum:
         monkeypatch.setattr(mc, "opnorm", refuse)
         assert spectrum_dict(data)["residuals"] == data.residuals
 
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_batched_certificate(self, n, monkeypatch):
+        """At most five 2-norm calls per spectrum, whatever the number of
+        clusters."""
+        calls = []
+        norm = np.linalg.norm
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        data = complex_spectrum(np.diag(np.arange(1.0, n + 1)))
+        assert len(data.clusters) == n
+        assert len(calls) <= 5
+
     def test_relative_clustering_merges(self, pol):
         a = np.diag([1.0, 1.0 + 1e-10, 5.0])
         data = complex_spectrum(a, pol)
@@ -149,6 +167,35 @@ def _spectrum_families():
         yield f"orthogonal-{n}", np.linalg.qr(rng.normal(size=(n, n)))[0]
         yield f"diagonal-{n}", np.diag(rng.normal(size=n))
         yield f"identity-{n}", np.eye(n)
+    # drawn from their own stream so the families above keep their matrices
+    rng = np.random.default_rng(11)
+    for n in range(2, 13):
+        c = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        ci = np.linalg.inv(c)
+        yield f"chain-{n}", c @ np.diag(_near_tie_chain(rng, n, 1e-8)) @ ci
+        yield f"near-real-{n}", c @ _near_real_pairs(rng, n, 1e-8) @ ci
+
+
+def _near_tie_chain(rng, n, tol):
+    """n reals around 1: a chain of near-ties spaced 0.6-2 gaps apart (the
+    chain breaks where a spacing exceeds the gap), in random order."""
+    steps = rng.uniform(0.6, 2.0, n - 1) * tol * (1.0 + n * tol)
+    return rng.permutation(1.0 + np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+def _near_real_pairs(rng, n, tol):
+    """Blocks r +- i d with d within a few gaps of zero, their real parts a
+    near-tie chain; a trailing real when n is odd."""
+    d = np.zeros((n, n))
+    rates = _near_tie_chain(rng, (n + 1) // 2, tol)
+    for k, r in enumerate(rates):
+        i = 2 * k
+        if i + 1 < n:
+            w = rng.uniform(0.1, 3.0) * tol
+            d[i : i + 2, i : i + 2] = [[r, -w], [w, r]]
+        else:
+            d[i, i] = r
+    return d
 
 
 def _outcome(fn, a):
@@ -238,6 +285,49 @@ class TestOneSchurForm:
         got = complex_spectrum(x4(1, 2))
         for c, r in zip(got.clusters, want.clusters):
             assert c.projection.tobytes() == r.projection.tobytes()
+
+
+def _label_spectra(rng, count):
+    """(eigenvalues, cluster_tol) draws for the clustering property test:
+    spectra of random matrices, near-tie chains, near-real conjugate pairs
+    and values rounded to one decimal (exact ties, distances at the gap)."""
+    for i in range(count):
+        n = int(rng.integers(2, 13))
+        tol = float(10.0 ** -rng.integers(2, 11))
+        kind = i % 4
+        if kind == 0:
+            w = np.linalg.eigvals(rng.normal(size=(n, n)))
+        elif kind == 1:
+            scale = 10.0 ** rng.uniform(-1, 2)
+            w = scale * _near_tie_chain(rng, n, tol)
+            w = w + 1j * scale * rng.uniform(0, 1) * (rng.random() < 0.5)
+        elif kind == 2:
+            w = np.linalg.eigvals(_near_real_pairs(rng, n, tol))
+        else:
+            tol = float(rng.choice([0.05, 0.1, 0.2]))
+            w = np.round(rng.normal(size=n), 1) + 1j * np.round(rng.normal(size=n), 1) * (
+                rng.random(n) < 0.5
+            )
+            w = w[rng.permutation(n)]
+        yield w, tol
+
+
+class TestClusterEigenvalues:
+    """Clusters are the classes of the transitive closure of closeness; the
+    union-find the closure replaced is the reference."""
+
+    def test_equal_to_union_find(self):
+        rng = np.random.default_rng(2025)
+        for w, tol in _label_spectra(rng, 10_000):
+            want = np.empty(len(w), dtype=int)
+            for gi, idx in enumerate(cluster_eigenvalues_union_find(w, tol)):
+                want[idx] = gi
+            assert _cluster_eigenvalues(w, tol).tolist() == want.tolist(), (w, tol)
+
+    def test_chain_is_one_cluster(self):
+        """a ~ b ~ c ~ d joins one cluster though |a - d| is three gaps."""
+        w = np.array([1.0 + 3e-8, 5.0, 1.0, 1.0 + 2e-8, 1.0 + 1e-8])
+        assert _cluster_eigenvalues(w, 1.5e-8).tolist() == [0, 1, 0, 0, 0]
 
 
 class TestMatrixExp:

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from jordanflow import (
+    GridTooLarge,
     InputError,
     NotNilpotent,
     ProjectivePoint,
@@ -24,9 +25,11 @@ from jordanflow import (
 )
 from jordanflow import projective
 from jordanflow.projective import (
+    SUBSTEP_BUDGET,
     _abs_cos,
     _chain_candidates,
     _step_matrix,
+    _substeps,
     projective_grid,
 )
 import oracles
@@ -516,3 +519,32 @@ class TestChainPairBudget:
         dec = multiplicative_jordan(np.diag([2.0, 0.5]), pol)
         cg = chain_oracle(dec, 100, 0.05, 1, pol, leg_doublings=0)
         assert cg.leg_times == (1.0,)
+
+
+class TestSubstepBudget:
+    """One simulation leg takes at most SUBSTEP_BUDGET substeps."""
+
+    def test_continuous_boundary(self):
+        dec = additive_jordan(x4(1, 2))  # rates -1 and 2: spread 3
+        leg = 15.0 * SUBSTEP_BUDGET / 3.0
+        assert _substeps(dec, leg) == [leg / SUBSTEP_BUDGET] * SUBSTEP_BUDGET
+        assert len(_substeps(dec, -leg)) == SUBSTEP_BUDGET
+        with pytest.raises(GridTooLarge):
+            _substeps(dec, np.nextafter(leg, np.inf))
+
+    def test_discrete_boundary(self):
+        dec = multiplicative_jordan(np.diag([np.e, 1.0, 1 / np.e]))  # 7 steps a piece
+        assert _substeps(dec, 20) == [6, 6, 6, 2]
+        assert _substeps(dec, -20) == [-7, -7, -7, 1]
+        assert _substeps(dec, 7 * SUBSTEP_BUDGET) == [7] * SUBSTEP_BUDGET + [0]
+        with pytest.raises(GridTooLarge):
+            _substeps(dec, 7 * SUBSTEP_BUDGET + 1)
+
+    def test_huge_leg_refused_before_stepping(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("stepped before refusing the leg")
+
+        monkeypatch.setattr(projective, "_step_matrix", refuse)
+        p0 = ProjectivePoint([1.0, 1.0, 1.0])
+        with pytest.raises(GridTooLarge):
+            simulate_projective(additive_jordan(x4(1, 2)), p0, [1e30])
