@@ -33,7 +33,6 @@ from .matrixcore import (
     matrix_exp,
     nilpotency_index,
     principal_log,
-    spectral_radius,
     unipotent_log,
 )
 from .jordan import (
@@ -58,9 +57,7 @@ from .projective import (
     projective_distance,
     recurrent_membership,
     simulate_projective,
-    stable_set_index,
     unipotent_limit,
-    unstable_set_index,
 )
 from .flags import (
     Flag,
@@ -76,7 +73,9 @@ from .flags import (
     plucker_embed,
     rate_filtration,
     simulate_flag,
+    stable_set_index,
     unstable_bruhat_cell,
+    unstable_set_index,
 )
 from .floquet import (
     FloquetData,

@@ -2,10 +2,10 @@
 
 Exit codes are part of the contract: 0 success, 2 parse or validation
 error, 3 ill-conditioned clustering, 4 simulation contradicts prediction,
-5 input exceeds a stated budget (chain grid size or pair count, Floquet
-sample memory, simulation substeps or trajectory rows), 6 no real
-logarithm in the Floquet budget, 1 anything else.  Identical inputs and
-flags produce byte-identical reports.
+5 input exceeds a stated budget (chain grid size, pair count or leg
+doublings, Floquet sample memory, simulation substeps or trajectory rows),
+6 no real logarithm in the Floquet budget, 1 anything else.  Identical
+inputs and flags produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .flags import (
     flag_recurrent_membership,
     random_flag,
     simulate_flag,
+    stable_set_index,
     unstable_bruhat_cell,
 )
 from .floquet import (
@@ -50,7 +51,6 @@ from .projective import (
     chain_oracle,
     morse_components_projective,
     simulate_projective,
-    stable_set_index,
 )
 from .report import (
     CONVENTIONS,
@@ -269,11 +269,11 @@ def cmd_decompose(args):
     return 0
 
 
-def _write_trajectory_csv(path, dec, md, pol, seed, horizon):
+def _write_trajectory_csv(path, dec, filt, pol, seed, horizon):
     rng = np.random.default_rng(seed)
     n = dec.spectral.n
     p0 = ProjectivePoint(rng.normal(size=n))
-    target = stable_set_index(p0, md, pol)
+    target = stable_set_index(p0, filt, pol)
     step = 0.5 if dec.continuous else 1
     if (horizon + step / 2) / step > SUBSTEP_BUDGET:
         raise GridTooLarge(
@@ -281,6 +281,7 @@ def _write_trajectory_csv(path, dec, md, pol, seed, horizon):
         )
     ts = np.arange(0.0, horizon + step / 2, step)
     traj = simulate_projective(dec, p0, ts)
+    md = morse_components_projective(dec, pol)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)] + ["dist_to_predicted"])
@@ -300,8 +301,10 @@ def cmd_analyze(args):
     input_echo["flag_dims"] = list(dims.dims)
     if args.simulate < 0:
         raise InputError(f"--simulate K={args.simulate} must be nonnegative")
-    if not np.isfinite(args.horizon):
-        raise InputError(f"--horizon {args.horizon} must be finite")
+    if args.seed < 0:
+        raise InputError(f"--seed {args.seed} must be nonnegative")
+    if not 0 < args.horizon < np.inf:
+        raise InputError(f"--horizon {args.horizon} must be positive and finite")
     warnings = []
 
     dec = _decompose(mat, pol, args.time)
@@ -362,9 +365,8 @@ def cmd_analyze(args):
         }
 
     if args.trajectory_out:
-        md = morse_components_projective(dec, pol)
         _write_trajectory_csv(
-            args.trajectory_out, dec, md, pol, args.seed, args.horizon
+            args.trajectory_out, dec, filt, pol, args.seed, args.horizon
         )
 
     report = {

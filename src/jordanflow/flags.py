@@ -15,16 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import IllConditioned, InputError, RankAmbiguous
-from .jordan import (
-    AdditiveJordan,
-    MultiplicativeJordan,
-    additive_jordan,
-    multiplicative_jordan,
-    wedge_basis,
-)
+from .jordan import wedge_basis
 from .matrixcore import (
     DEFAULT_POLICY,
     as_square_matrix,
@@ -33,29 +26,30 @@ from .matrixcore import (
 )
 from .projective import (
     ProjectivePoint,
+    RateFiltration,
     _as_decomposition,
-    _group_by_rate,
+    _filtration,
     _invariance_residual,
     _trajectory,
+    rate_filtration,
 )
 
 __all__ = [
     "FlagType",
     "Flag",
-    "RateFiltration",
     "FlagMorseComponent",
     "FlowClassification",
-    "rate_filtration",
     "plucker_embed",
     "enumerate_morse_components",
     "component_dimensions",
     "bruhat_cell",
     "unstable_bruhat_cell",
+    "stable_set_index",
+    "unstable_set_index",
     "simulate_flag",
     "classify_flow",
     "flag_recurrent_membership",
     "height_lyapunov",
-    "flag_distance",
     "component_defect",
     "nearest_component",
     "random_flag",
@@ -160,47 +154,8 @@ class Flag:
         """Orthonormal basis of the i-th subspace (0-based over dims)."""
         return self.basis[:, : self.dims.dims[i]]
 
-    def projector(self, i):
-        b = self.subspace(i)
-        return b @ b.T
-
-    def canonical_basis(self):
-        """Deterministic representative: per level, column-pivoted QR of the
-        projector onto the new directions (basis-independent input), columns
-        sign-fixed.  Equal flags serialize identically."""
-        out = []
-        width = 0
-        for i, d in enumerate(self.dims.dims):
-            p = self.projector(i)
-            if out:
-                prev = np.hstack(out)
-                p = p - prev @ prev.T
-            q, _, _ = sla.qr(p, pivoting=True, mode="economic")
-            block = q[:, : d - width].copy()
-            for c in range(block.shape[1]):
-                col = block[:, c]
-                nz = np.nonzero(np.abs(col) > 1e-10)[0]
-                if nz.size and col[nz[0]] < 0:
-                    block[:, c] = -col
-            out.append(block)
-            width = d
-        return np.hstack(out)
-
     def __repr__(self):
         return f"Flag(dims={self.dims.dims}, n={self.n})"
-
-
-def flag_distance(f, g):
-    """max over levels of the normalized projector gap; equals the sine of
-    the largest principal angle for lines."""
-    if f.dims.dims != g.dims.dims or f.n != g.n:
-        raise InputError("flags of different type are not comparable")
-    worst = 0.0
-    for i in range(len(f.dims.dims)):
-        worst = max(
-            worst, float(np.linalg.norm(f.projector(i) - g.projector(i))) / math.sqrt(2)
-        )
-    return worst
 
 
 def random_flag(n, dims, rng):
@@ -233,60 +188,6 @@ def plucker_embed(basis):
     idx = np.array(combos)
     coords = np.linalg.det(b[idx, :])
     return ProjectivePoint(coords)
-
-
-# ---------------------------------------------------------------------------
-# rate filtration shared by enumeration and classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RateFiltration:
-    """Eigenvalue clusters of the hyperbolic part grouped by rate, decreasing.
-
-    ``transform`` stacks (generally oblique) cluster bases in rate order;
-    coordinates in this frame make the fast filtration a coordinate
-    filtration, which turns Bruhat-cell membership into rank counting.
-    """
-
-    rates: tuple
-    mults: tuple
-    blocks: tuple
-    transform: np.ndarray
-    continuous: bool
-
-    @property
-    def n(self):
-        return self.transform.shape[0]
-
-    @property
-    def row_rates(self):
-        """The rate of each row of the frame: the block-diagonal model."""
-        return np.repeat(self.rates, self.mults)
-
-    def row_starts(self):
-        return np.cumsum((0, *self.mults)).tolist()
-
-
-def _filtration(spectral, continuous, pol):
-    """The rate frame of a clustered spectrum: the one place where clusters
-    are grouped by rate and their bases stacked in rate order."""
-    rates, mults, blocks = [], [], []
-    for rate, clusters in _group_by_rate(spectral, continuous, pol):
-        rates.append(rate)
-        mults.append(sum(c.multiplicity for c in clusters))
-        blocks.append(np.hstack([c.basis for c in clusters]))
-    return RateFiltration(
-        rates=tuple(rates),
-        mults=tuple(mults),
-        blocks=tuple(blocks),
-        transform=np.hstack(blocks),
-        continuous=continuous,
-    )
-
-
-def rate_filtration(dec, pol=None):
-    dec = _as_decomposition(dec)
-    return _filtration(dec.spectral, dec.continuous, pol or DEFAULT_POLICY)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +369,26 @@ def _cell_index(flag, dec, dims, pol, components, reverse):
     raise IllConditioned(f"rank pattern {table} matches no Morse component")
 
 
+def _line_index(p, dec, pol, reverse):
+    """Rate index of the line [p]'s Bruhat cell as a flag of signature (1):
+    the one block in the first row of its table."""
+    pol = pol or DEFAULT_POLICY
+    filt = dec if isinstance(dec, RateFiltration) else rate_filtration(dec, pol)
+    table, _ = _cell_assignment(Flag(p.rep[:, None], (1,)), filt, pol, reverse)
+    return table[0].index(1)
+
+
+def stable_set_index(p, dec, pol=None):
+    """Index of the component whose stable set contains [p]: the fastest
+    rate-frame block its representative meets (``RankAmbiguous`` if close)."""
+    return _line_index(p, dec, pol, reverse=False)
+
+
+def unstable_set_index(p, dec, pol=None):
+    """Dual of stable_set_index: the slowest block it meets (alpha-limit)."""
+    return _line_index(p, dec, pol, reverse=True)
+
+
 def bruhat_cell(flag, dec, dims=None, pol=None, components=None):
     """Index of the Morse component whose stable set contains the flag."""
     return _cell_index(flag, dec, dims, pol, components, reverse=False)
@@ -563,8 +484,9 @@ class FlowClassification:
     filtration: RateFiltration
 
 
-def classify_flow(mat_or_dec, dims, pol=None, time="continuous"):
-    """Full classification of the flow induced on the flag manifold ``dims``.
+def classify_flow(dec, dims, pol=None):
+    """Full classification of the flow of a Jordan decomposition induced on
+    the flag manifold ``dims``.
 
     h-regular (all rate clusters simple) is equivalent to Morse-Smale and to
     structural stability; conformal means the nilpotent/unipotent Jordan part
@@ -573,20 +495,13 @@ def classify_flow(mat_or_dec, dims, pol=None, time="continuous"):
     verdict sits at the discretization boundary.
     """
     pol = pol or DEFAULT_POLICY
-    if isinstance(mat_or_dec, (AdditiveJordan, MultiplicativeJordan)):
-        dec = mat_or_dec
-    elif time == "continuous":
-        dec = additive_jordan(as_square_matrix(mat_or_dec, "X"), pol)
-    else:
-        dec = multiplicative_jordan(as_square_matrix(mat_or_dec, "g"), pol)
-
     filt = rate_filtration(dec, pol)
     if not isinstance(dims, FlagType):
         dims = FlagType(tuple(dims))
     dims.validate_for(filt.n)
 
     h_regular = all(m == 1 for m in filt.mults)
-    if isinstance(dec, AdditiveJordan):
+    if dec.continuous:
         nil_norm = opnorm(dec.N)
         scale = max(1.0, opnorm(dec.X))
     else:

@@ -33,7 +33,6 @@ __all__ = [
     "matrix_exp",
     "principal_log",
     "unipotent_log",
-    "spectral_radius",
     "nilpotency_index",
     "opnorm",
     "as_square_matrix",
@@ -373,12 +372,6 @@ def principal_log(a, pol=None):
             margins={"roundtrip": riff},
         )
     return out
-
-
-def spectral_radius(a, pol=None):
-    """max |lambda| over the clustered spectrum."""
-    data = a if isinstance(a, SpectralData) else complex_spectrum(a, pol)
-    return float(max(abs(lam) for c in data.clusters for lam in c.members))
 
 
 def nilpotency_index(a, pol=None):

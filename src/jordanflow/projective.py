@@ -1,11 +1,11 @@
 """Dynamics of linear flows on real projective space.
 
 The hyperbolic Jordan factor sorts the space into finitely many projective
-eigenspaces; those are the finest Morse decomposition.  This module computes
-the components, classifies points into stable/unstable sets, evaluates
-unipotent limits, decides recurrence and chain recurrence, simulates
-trajectories with mandatory renormalization, and runs a brute-force
-(eps, T)-chain oracle on a grid for cross-checking.
+eigenspaces; those are the finest Morse decomposition.  This module builds
+the rate frame and the components, evaluates unipotent limits, decides
+recurrence and chain recurrence, simulates trajectories with mandatory
+renormalization, and runs a brute-force (eps, T)-chain oracle on a grid for
+cross-checking.  Stable and unstable sets are Bruhat cells (``flags``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import GridTooLarge, InputError, NotNilpotent
+from .errors import GridTooLarge, InputError
 from .jordan import AdditiveJordan, MultiplicativeJordan
 from .matrixcore import (
     DEFAULT_POLICY,
@@ -32,9 +32,9 @@ __all__ = [
     "projective_distance",
     "RateComponent",
     "ProjectiveMorseDecomposition",
+    "RateFiltration",
+    "rate_filtration",
     "morse_components_projective",
-    "stable_set_index",
-    "unstable_set_index",
     "unipotent_limit",
     "recurrent_membership",
     "chain_recurrent_membership",
@@ -51,6 +51,11 @@ MAX_GRID = 20000
 #: substeps one simulation leg may take; a full-flag substep took 36-56 us
 #: at n = 3..12 (one BLAS thread, Xeon, Python 3.11), so 2.4-3.7 s a leg
 SUBSTEP_BUDGET = 2**16
+
+#: leg doublings ``chain_oracle`` accepts: past 52 squarings the normalized
+#: step carries round-off of about 2^52 * eps, so later legs add noise or
+#: nothing, and the leg time T * 2^k overflows near k = 1024
+MAX_LEG_DOUBLINGS = 52
 
 #: bytes ``chain_oracle`` may spend on the edges of its chain graph
 CHAIN_PAIR_BUDGET = 512 * 2**20
@@ -135,15 +140,13 @@ class RateComponent:
     ``value`` is the eigenvalue of h (discrete time: modulus) or H
     (continuous time: real part); ``rate`` is the common exponential rate
     (log value for discrete time, the value itself for continuous).
-    ``projection`` is the spectral (generally oblique) projector onto the
-    eigenspace; ``basis`` an orthonormal basis of it.
+    ``basis`` is an orthonormal basis of the eigenspace.
     """
 
     value: float
     rate: float
     multiplicity: int
     basis: np.ndarray
-    projection: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,6 @@ class ProjectiveMorseDecomposition:
     """Ordered (decreasing rate) projective eigenspaces of the hyperbolic part."""
 
     components: tuple
-    continuous: bool
-    cluster_tol: float
 
     @property
     def attractor_index(self):
@@ -174,11 +175,33 @@ class ProjectiveMorseDecomposition:
         """Chordal distance from a point to the i-th projective eigenspace."""
         return float(self.distances(p.rep)[i, 0])
 
-    def component_coordinates(self, p):
-        """Norms of the oblique eigenspace components of the representative."""
-        return np.array(
-            [np.linalg.norm(c.projection @ p.rep) for c in self.components]
-        )
+
+@dataclass(frozen=True)
+class RateFiltration:
+    """Eigenvalue clusters of the hyperbolic part grouped by rate, decreasing.
+
+    ``transform`` stacks (generally oblique) cluster bases in rate order;
+    coordinates in this frame make the fast filtration a coordinate
+    filtration, which turns Bruhat-cell membership into rank counting.
+    """
+
+    rates: tuple
+    mults: tuple
+    blocks: tuple
+    transform: np.ndarray
+    continuous: bool
+
+    @property
+    def n(self):
+        return self.transform.shape[0]
+
+    @property
+    def row_rates(self):
+        """The rate of each row of the frame: the block-diagonal model."""
+        return np.repeat(self.rates, self.mults)
+
+    def row_starts(self):
+        return np.cumsum((0, *self.mults)).tolist()
 
 
 def _cluster_rates(spectral, continuous):
@@ -189,8 +212,9 @@ def _cluster_rates(spectral, continuous):
     return [math.log(abs(c.eigenvalue)) for c in spectral.clusters]
 
 
-def _group_by_rate(spectral, continuous, pol):
-    """Group spectral clusters by exponential rate, decreasing.
+def _filtration(spectral, continuous, pol):
+    """The rate frame of a clustered spectrum: the one place where clusters
+    are grouped by rate, decreasing, and their bases stacked in rate order.
 
     Rates merge under the same relative rule as eigenvalues do; coincident
     moduli of distinct eigenvalue clusters (e.g. 2 and -2) land in one group.
@@ -206,7 +230,14 @@ def _group_by_rate(spectral, continuous, pol):
             groups[-1][1].append(c)
         else:
             groups.append(([rate], [c]))
-    return [(float(np.mean(rates)), cs) for rates, cs in groups]
+    blocks = tuple(np.hstack([c.basis for c in cs]) for _, cs in groups)
+    return RateFiltration(
+        rates=tuple(float(np.mean(rates)) for rates, _ in groups),
+        mults=tuple(sum(c.multiplicity for c in cs) for _, cs in groups),
+        blocks=blocks,
+        transform=np.hstack(blocks),
+        continuous=continuous,
+    )
 
 
 def _as_decomposition(dec):
@@ -215,70 +246,34 @@ def _as_decomposition(dec):
     raise InputError(f"need an AdditiveJordan or MultiplicativeJordan, got {type(dec)!r}")
 
 
+def rate_filtration(dec, pol=None):
+    dec = _as_decomposition(dec)
+    return _filtration(dec.spectral, dec.continuous, pol or DEFAULT_POLICY)
+
+
 def morse_components_projective(dec, pol=None):
     """The finest Morse decomposition of the induced flow on P(R^n).
 
-    Components are the projective eigenspaces of the hyperbolic Jordan factor
-    ordered by decreasing rate; the first is the attractor, the last the
-    repeller, and their union is the chain recurrent set.
+    Components are the rate frame's blocks: the projective eigenspaces of the
+    hyperbolic Jordan factor, by decreasing rate; the first is the attractor,
+    the last the repeller, and their union is the chain recurrent set.
     """
-    pol = pol or DEFAULT_POLICY
     dec = _as_decomposition(dec)
-    cont = isinstance(dec, AdditiveJordan)
-    comps = []
-    for rate, clusters in _group_by_rate(dec.spectral, cont, pol):
-        proj = np.sum([c.projection for c in clusters], axis=0)
-        stacked = np.hstack([c.basis for c in clusters])
-        mult = sum(c.multiplicity for c in clusters)
-        # orthonormal basis of the (possibly oblique) sum of cluster ranges
-        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-        basis = u[:, :mult]
-        comps.append(
+    filt = _filtration(dec.spectral, dec.continuous, pol or DEFAULT_POLICY)
+    md = ProjectiveMorseDecomposition(
+        components=tuple(
             RateComponent(
-                value=rate if cont else math.exp(rate),
+                value=rate if filt.continuous else math.exp(rate),
                 rate=rate,
                 multiplicity=mult,
-                basis=basis,
-                projection=proj,
+                # orthonormal basis of the (possibly oblique) sum of cluster ranges
+                basis=np.linalg.svd(block, full_matrices=False)[0][:, :mult],
             )
+            for rate, mult, block in zip(filt.rates, filt.mults, filt.blocks)
         )
-    md = ProjectiveMorseDecomposition(
-        components=tuple(comps), continuous=cont, cluster_tol=pol.cluster_tol
     )
     assert sum(c.multiplicity for c in md.components) == dec.spectral.n
     return md
-
-
-def _as_md(dec_or_md, pol):
-    if isinstance(dec_or_md, ProjectiveMorseDecomposition):
-        return dec_or_md
-    return morse_components_projective(dec_or_md, pol)
-
-
-def stable_set_index(p, dec, pol=None):
-    """Index of the component whose stable set contains [p].
-
-    The omega-limit of [v] lies in the projective eigenspace of the first
-    (largest-rate) nonzero oblique component of v.
-    """
-    pol = pol or DEFAULT_POLICY
-    md = _as_md(dec, pol)
-    coords = md.component_coordinates(p)
-    for i, c in enumerate(coords):
-        if c > pol.residual_tol:
-            return i
-    return len(coords) - 1  # unreachable for unit vectors
-
-
-def unstable_set_index(p, dec, pol=None):
-    """Dual of stable_set_index: last nonzero component (alpha-limit)."""
-    pol = pol or DEFAULT_POLICY
-    md = _as_md(dec, pol)
-    coords = md.component_coordinates(p)
-    for i in range(len(coords) - 1, -1, -1):
-        if coords[i] > pol.residual_tol:
-            return i
-    return 0
 
 
 def unipotent_limit(p, n_mat, pol=None):
@@ -566,6 +561,11 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
         raise InputError("eps and min_time must be positive and finite")
     if leg_doublings < 0:
         raise InputError(f"leg_doublings must be >= 0; got {leg_doublings}")
+    if leg_doublings > MAX_LEG_DOUBLINGS:
+        raise GridTooLarge(
+            f"{leg_doublings} leg doublings; at most {MAX_LEG_DOUBLINGS} are "
+            "resolvable in floating point"
+        )
     candidates = _chain_candidates(n, resolution, eps)
     edges = min(resolution * resolution, (leg_doublings + 1) * candidates)
     if edges * _EDGE_BYTES > CHAIN_PAIR_BUDGET:

@@ -235,6 +235,64 @@ def cell_assignment_reference(flag, filt, pol, reverse=False):
     return table, worst_margin
 
 
+def rate_groups_reference(spectral, continuous, pol):
+    """Spectral clusters grouped by exponential rate, decreasing, as
+    (mean rate, clusters) pairs.  A frozen copy of the grouping that
+    ``projective._group_by_rate`` did before the rate frame absorbed it."""
+    if continuous:
+        rates = [c.eigenvalue.real for c in spectral.clusters]
+    else:
+        rates = [math.log(abs(c.eigenvalue)) for c in spectral.clusters]
+    items = list(zip(rates, spectral.clusters))
+    items.sort(key=lambda rc: -rc[0])
+    groups = []
+    for rate, c in items:
+        if groups and abs(groups[-1][0][-1] - rate) < pol.cluster_tol * max(
+            1.0, abs(rate), abs(groups[-1][0][-1])
+        ):
+            groups[-1][0].append(rate)
+            groups[-1][1].append(c)
+        else:
+            groups.append(([rate], [c]))
+    return [(float(np.mean(rates)), cs) for rates, cs in groups]
+
+
+def component_coordinates_reference(p, dec, pol):
+    """Norms of the oblique rate-group components of the representative of
+    [p]: each group's summed spectral projection applied to it."""
+    groups = rate_groups_reference(dec.spectral, dec.continuous, pol)
+    return np.array(
+        [
+            np.linalg.norm(np.sum([c.projection for c in cs], axis=0) @ p.rep)
+            for _, cs in groups
+        ]
+    )
+
+
+def stable_set_index_reference(p, dec, pol=None):
+    """Index of the projective component whose stable set contains [p], by
+    projection norms: the first (largest-rate) oblique component above
+    residual_tol.  The classifier ``projective.stable_set_index`` used
+    before a line was classified as a Bruhat cell of signature (1)."""
+    pol = pol or DEFAULT_POLICY
+    coords = component_coordinates_reference(p, dec, pol)
+    for i, c in enumerate(coords):
+        if c > pol.residual_tol:
+            return i
+    return len(coords) - 1  # unreachable for unit vectors
+
+
+def unstable_set_index_reference(p, dec, pol=None):
+    """Dual of stable_set_index_reference: the last oblique component above
+    residual_tol (alpha-limit)."""
+    pol = pol or DEFAULT_POLICY
+    coords = component_coordinates_reference(p, dec, pol)
+    for i in range(len(coords) - 1, -1, -1):
+        if coords[i] > pol.residual_tol:
+            return i
+    return 0
+
+
 def height_lyapunov_reference(flag, h_matrix, pol=None):
     """``flags.height_lyapunov`` with its own frame, as it was before it
     built through the rate filtration: clusters sorted by real part, their

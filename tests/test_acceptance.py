@@ -194,21 +194,21 @@ def test_criterion_05_prediction_equals_simulation():
 
 def test_criterion_06_structural_stability_verdicts():
     t0 = time.perf_counter()
-    assert not classify_flow(x4(1, 2), (1,), POL).structurally_stable
-    assert not classify_flow(x5(1.0), (1,), POL).structurally_stable
+    assert not classify_flow(additive_jordan(x4(1, 2), POL), (1,), POL).structurally_stable
+    assert not classify_flow(additive_jordan(x5(1.0), POL), (1,), POL).structurally_stable
 
     # perturbations with distinct resulting rates are stable
     pert5 = x5(1.0) + 1e-3 * np.diag([1.0, 0.0, -1.0])
-    assert classify_flow(pert5, (1,), POL).structurally_stable
+    assert classify_flow(additive_jordan(pert5, POL), (1,), POL).structurally_stable
     pert4 = x4(1, 2) + 5.0 * np.diag([1.0, 0.0, -1.0])
-    assert classify_flow(pert4, (1,), POL).structurally_stable
+    assert classify_flow(additive_jordan(pert4, POL), (1,), POL).structurally_stable
 
     # the verdict flips exactly at rate coincidence within cluster_tol
     def diag_system(eps):
         return np.diag([-1.0 + eps, -1.0, 2.0 - eps])
 
-    below = classify_flow(diag_system(0.999e-8), (1,), POL)
-    above = classify_flow(diag_system(1.001e-8), (1,), POL)
+    below = classify_flow(additive_jordan(diag_system(0.999e-8), POL), (1,), POL)
+    above = classify_flow(additive_jordan(diag_system(1.001e-8), POL), (1,), POL)
     assert not below.structurally_stable and not below.h_regular
     assert above.structurally_stable and above.h_regular
     report(6, "stability verdict flips at the clustering boundary", t0, 1.0)

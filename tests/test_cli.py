@@ -28,6 +28,7 @@ from jordanflow.matrixcore import TolerancePolicy
 from jordanflow.projective import (
     CHAIN_PAIR_BUDGET,
     MAX_GRID,
+    MAX_LEG_DOUBLINGS,
     SUBSTEP_BUDGET,
     _EDGE_BYTES,
     _chain_candidates,
@@ -345,6 +346,42 @@ class TestAnalyzeRefusals:
         assert not out.exists()
 
 
+class TestAnalyzeSeedHorizonRefusals:
+    """A negative seed or a horizon <= 0 exits 2 in one stderr line before
+    anything is decomposed: a negative seed ended in a numpy traceback, a
+    zero or negative horizon in a false contradiction (exit 4) or a
+    header-only CSV (exit 0)."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--seed", "-1"],
+            ["--simulate", "1", "--seed", "-1"],
+            ["--trajectory-out", "t.csv", "--seed", "-1"],
+            ["--simulate", "2", "--horizon", "0"],
+            ["--simulate", "2", "--horizon", "-25"],
+            ["--simulate", "2", "--horizon=-0.0"],
+            ["--time", "discrete", "--simulate", "1", "--horizon", "0"],
+            ["--trajectory-out", "t.csv", "--horizon", "-5"],
+            ["--trajectory-out", "t.csv", "--horizon", "0"],
+        ],
+    )
+    def test_exit_2(self, x4_file, tmp_path, monkeypatch, capsys, extra):
+        import jordanflow.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("decomposed before refusing the input")
+
+        monkeypatch.setattr(cli, "_decompose", refuse)
+        monkeypatch.chdir(tmp_path)
+        argv = ["analyze", str(x4_file), "--flag", "1", "-o", "out.json", *extra]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("jordanflow: input error:")
+        assert not (tmp_path / "out.json").exists()
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestAnalyzeBudgets:
     """A finite but huge --horizon exits 5 at once, in one stderr line and
     without allocating."""
@@ -468,6 +505,28 @@ class TestChainOracleRefusals:
     def test_negative_leg_doublings_exit_2(self, tmp_path):
         code, _ = self.run_traced(tmp_path, "--resolution", "400", "--leg-doublings", "-1")
         assert code == 2
+
+    def test_leg_doublings_past_cap_exit_5(self, tmp_path, capsys):
+        """Past MAX_LEG_DOUBLINGS the leg time is noise (and near 1024
+        doublings it overflowed into a NaN report): refused before any
+        allocation."""
+        for doublings in (MAX_LEG_DOUBLINGS + 1, 1030):
+            code, peak = self.run_traced(
+                tmp_path, "--resolution", "400", "--leg-doublings", str(doublings)
+            )
+            assert code == 5
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("jordanflow: input exceeds a stated budget:")
+            assert peak < 10 * 2**20
+
+    def test_leg_doublings_at_cap_exit_0(self, tmp_path):
+        out = tmp_path / "out.json"
+        args = ("--resolution", "400", "--leg-doublings", str(MAX_LEG_DOUBLINGS))
+        code, _ = self.run_traced(tmp_path, *args, "-o", str(out))
+        assert code == 0
+        leg_times = json.loads(out.read_text())["leg_times"]
+        assert leg_times == [2.0**k for k in range(MAX_LEG_DOUBLINGS + 1)]
 
     def test_nan_eps_exit_2(self, tmp_path):
         code, _ = self.run_traced(tmp_path, "--resolution", "400", "--eps", "nan")

@@ -16,7 +16,6 @@ from jordanflow import (
     matrix_exp,
     nilpotency_index,
     principal_log,
-    spectral_radius,
     unipotent_log,
 )
 from jordanflow.matrixcore import _cluster_eigenvalues
@@ -29,7 +28,7 @@ from oracles import (
     hermite_projection,
     rotation_scale_exp,
 )
-from systems import x1, x2, x3, x4, x5
+from systems import x1, x2, x3, x4
 
 
 def find_cluster(data, z, tol=1e-6):
@@ -379,25 +378,6 @@ class TestPrincipalLog:
         u[1, 2] = -1.0
         log_u = unipotent_log(u, pol)
         assert np.allclose(matrix_exp(log_u), u, atol=1e-12)
-
-
-class TestSpectralRadius:
-    def test_examples(self):
-        assert spectral_radius(np.eye(3)) == pytest.approx(1.0)
-        assert spectral_radius(np.diag([2.0, 0.5])) == pytest.approx(2.0)
-        # eigenvalues of exp(X5) are exp of eigenvalues
-        g = matrix_exp(x5(1.0))
-        assert spectral_radius(g) == pytest.approx(np.exp(2.0), rel=1e-10)
-
-    def test_power_compatibility(self, rng):
-        a = np.diag([1.7, 0.4, -0.8]) + 0.0
-        c = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
-        g = c @ matrix_exp(a) @ np.linalg.inv(c)
-        r = spectral_radius(g)
-        gt = g.copy()
-        for t in (1, 2, 3):
-            assert spectral_radius(gt) == pytest.approx(r**t, rel=1e-7)
-            gt = gt @ g
 
 
 class TestNilpotencyIndex:

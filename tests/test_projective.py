@@ -7,16 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from jordanflow import (
     GridTooLarge,
+    IllConditioned,
     InputError,
     NotNilpotent,
     ProjectivePoint,
+    RankAmbiguous,
     additive_jordan,
     chain_oracle,
     chain_recurrent_membership,
     invariant_metric,
+    matrix_exp,
     morse_components_projective,
     multiplicative_jordan,
     projective_distance,
+    rate_filtration,
     recurrent_membership,
     simulate_projective,
     stable_set_index,
@@ -34,6 +38,7 @@ from jordanflow.projective import (
 )
 import oracles
 from systems import E1, E2, E3, random_sl, random_sl_alg, rotation, x2, x4, x5
+from test_flags import planted_near_threshold_flag
 
 finite_vectors = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
@@ -161,6 +166,77 @@ class TestStableSetIndex:
         assert unstable_set_index(ProjectivePoint(E3), dec) == 0
 
 
+def _line_flow(rng):
+    """A conjugated block-diagonal flow on R^n, n = 2..12, continuous or
+    discrete, whose rates often repeat: real eigenvalues drawn with
+    replacement from a small pool and rotation blocks whose real part is one
+    of them (in discrete time sometimes a rotation by pi, whose eigenvalue
+    -e^a shares its modulus with e^a)."""
+    n = int(rng.integers(2, 13))
+    discrete = bool(rng.integers(2))
+    pool = rng.choice(np.arange(-4, 5) * 0.5, int(rng.integers(1, min(n, 9) + 1)), replace=False)
+    x = np.diag(rng.choice(pool, size=n))
+    for i in range(0, n - 1, 2):
+        if rng.random() < 0.25:
+            omega = math.pi if discrete and rng.random() < 0.5 else 1.5
+            x[i, i + 1], x[i + 1, i] = -omega, omega
+            x[i + 1, i + 1] = x[i, i]
+    x -= np.trace(x) / n * np.eye(n)
+    c = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / math.sqrt(n)
+    x = c @ x @ np.linalg.inv(c)
+    return multiplicative_jordan(matrix_exp(x)) if discrete else additive_jordan(x)
+
+
+class TestSetIndexReference:
+    """The stable and unstable set of a line is its Bruhat cell of signature
+    (1); it equals the projection-norm classifier it replaced."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_projection_norms(self, seed, pol):
+        rng = np.random.default_rng([seed, 17])
+        pairs = 0
+        while pairs < 520:
+            try:
+                dec = _line_flow(rng)
+            except IllConditioned:
+                continue
+            md = morse_components_projective(dec, pol)
+            filt = rate_filtration(dec, pol)
+            k = len(md.components)
+            for j in range(20):
+                if j % 2:
+                    v = rng.normal(size=dec.spectral.n)
+                else:  # a point inside a sum of eigenspaces
+                    pick = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+                    v = sum(
+                        md.components[i].basis @ rng.normal(size=md.components[i].multiplicity)
+                        for i in pick
+                    )
+                p = ProjectivePoint(v)
+                frame = dec if j < 2 else filt
+                assert stable_set_index(p, frame, pol) == oracles.stable_set_index_reference(
+                    p, dec, pol
+                )
+                assert unstable_set_index(
+                    p, frame, pol
+                ) == oracles.unstable_set_index_reference(p, dec, pol)
+                pairs += 1
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_near_threshold_line(self, seed, reverse, pol):
+        """A line whose leading (``reverse``: trailing) rate-frame coordinate
+        is twice the rank threshold is refused with its margin."""
+        dec, filt, f = planted_near_threshold_flag(seed, reverse, pol)
+        p = ProjectivePoint(f.basis[:, 0])
+        index = unstable_set_index if reverse else stable_set_index
+        for frame in (dec, filt):
+            with pytest.raises(RankAmbiguous) as info:
+                index(p, frame, pol)
+            margin = info.value.margins["worst_sigma_over_threshold"]
+            assert margin == pytest.approx(2.0, rel=1e-6)
+
+
 class TestUnipotentLimit:
     def test_projective_line_figure(self):
         n = np.array([[0.0, 1], [0, 0]])
@@ -269,8 +345,8 @@ class TestSimulate:
                 assert np.linalg.norm(resid) < 1e-8 * max(1, np.linalg.norm(img))
             for _ in range(200):
                 p = ProjectivePoint(rng.normal(size=3))
-                i_fwd = stable_set_index(p, md, pol)
-                i_bwd = unstable_set_index(p, md, pol)
+                i_fwd = stable_set_index(p, dec, pol)
+                i_bwd = unstable_set_index(p, dec, pol)
                 end_f = simulate_projective(dec, p, [30.0])[-1]
                 end_b = simulate_projective(dec, p, [-30.0])[-1]
                 assert md.distance_to_component(end_f, i_fwd) < pol.sim_tol
