@@ -183,6 +183,15 @@ class FundamentalSolution:
         return g_tau @ np.linalg.matrix_power(self.monodromy, k)
 
 
+def _rk4_matrices(x0, xm, x1, dt):
+    """The RK4 step matrices I + (dt/6)(K1 + 2 K2 + 2 K3 + K4) of g' = X g,
+    from stacks of X at the start, the middle and the end of each step."""
+    k2 = xm + (dt / 2) * (xm @ x0)
+    k3 = xm + (dt / 2) * (xm @ k2)
+    k4 = x1 + dt * (x1 @ k3)
+    return np.eye(x0.shape[-1]) + (dt / 6) * (x0 + 2 * k2 + 2 * k3 + k4)
+
+
 def integrate_fundamental(coef, steps):
     """Classical RK4 on a uniform grid with per-step determinant projection.
 
@@ -191,13 +200,16 @@ def integrate_fundamental(coef, steps):
     the budget.  Halving the step size shrinks the monodromy error by the
     classical fourth-order factor (asserted in tests).
 
-    Steps run in blocks of ``_BLOCK``.  Per block the coefficient is
-    tabulated once at the six distinct times of each step, the full step
-    and the first half step advance together as a (2, n, n) stack from
-    their shared k1 = X(t) g, and the block's step-halving norms come from
-    one batched SVD.  Every float operation is the one a step-by-step RK4
-    makes, in the same order, so the samples are bitwise those of
-    ``tests/oracles.integrate_fundamental_reference``.
+    On g' = X(t) g an RK4 step is g <- R_k g with a step matrix R_k that
+    does not depend on g.  Steps run in blocks of ``_BLOCK``: per block the
+    coefficient is tabulated once at the five distinct times of each step,
+    the full step matrices R_k and the half-step pairs H1_k, H2_k are formed
+    as batched products, and the samples are the prefix products
+    g_(k+1) = P_k g_k with P_k = R_k det(R_k)^(-1/n).  ``det_drift`` sums
+    |det R_k - 1|, the drift the projection removes; det g_k is 1 up to the
+    summed rounding of the steps before it.  The step-halving differences
+    (R_k - H2_k H1_k) g_k and their 2-norms are batched per block too.  The
+    step-by-step loop is ``tests/oracles.integrate_fundamental_reference``.
     """
     if not isinstance(coef, PeriodicCoefficient):
         raise InputError("integrate_fundamental needs a PeriodicCoefficient")
@@ -211,65 +223,49 @@ def integrate_fundamental(coef, steps):
             f"{steps} steps at n={n} need {need} bytes of samples; "
             f"budget is {SAMPLE_BUDGET}"
         )
-    T = coef.period
-    h = T / steps
-    hh = h / 2
-    q = hh / 2
-    # the h/2, h and h/6 factors of the full step (row 0, step h) and of
-    # the first half step (row 1, step h/2)
-    mid = np.array([hh, q])[:, None, None]
-    end = np.array([h, hh])[:, None, None]
-    sixth = np.array([h / 6, hh / 6])[:, None, None]
-    g = np.eye(n)
+    h = coef.period / steps
     samples = np.empty((steps + 1, n, n))
     derivs = np.empty_like(samples)
-    diffs = np.empty((min(_BLOCK, steps), n, n))
-    samples[0] = g
-    derivs[0] = coef.value(0.0) @ g
+    samples[0] = np.eye(n)
+    derivs[0] = coef.value(0.0) @ samples[0]
     drift = 0.0
     err = 0.0
     for i0 in range(0, steps, _BLOCK):
         i1 = min(i0 + _BLOCK, steps)
         t = np.arange(i0, i1) * h
-        th = t + hh
-        # X per step at t + h, t + h/2, t + h/4, t, then t + h/2 + h/4 and
-        # t + h/2 + h/2: columns 0:2 are the k4 coefficients of the full and
-        # the first half step, columns 1:3 their k2 and k3 coefficients
-        times = np.stack([t + h, th, t + q, t, th + q, th + hh], axis=1)
-        x = coef.table(times.ravel()).reshape(i1 - i0, 6, n, n)
+        # X per step at t, t + h/4, t + h/2, t + 3h/4 and t + h
+        times = t + (h / 4) * np.arange(5)[:, None]
+        x0, xq, xm, x3, x1 = coef.table(times.ravel()).reshape(5, i1 - i0, n, n)
+        g = samples[i0 + 1 : i1 + 1]
         # an overflowing step is caught by the determinant and finiteness
         # tests below, so numpy's overflow warnings would only be noise
         with np.errstate(over="ignore", invalid="ignore"):
+            full = _rk4_matrices(x0, xm, x1, h)
+            det = np.linalg.det(full)
+            bad = np.flatnonzero(~((det > 0) & np.isfinite(det)))
+            if bad.size:
+                j = bad[0]
+                raise StiffnessSuspected(
+                    f"determinant {det[j]} at t={float(t[j]) + h}; step size unusable"
+                )
+            drift += float(np.sum(np.abs(det - 1.0)))
+            proj = full * (det ** (-1.0 / n))[:, None, None]
             for j in range(i1 - i0):
-                xs = x[j]
-                k1 = xs[3] @ g
-                k2 = xs[1:3] @ (g + mid * k1)
-                k3 = xs[1:3] @ (g + mid * k2)
-                k4 = xs[0:2] @ (g + end * k3)
-                full, y = g + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-                k1 = xs[1] @ y
-                k2 = xs[4] @ (y + q * k1)
-                k3 = xs[4] @ (y + q * k2)
-                k4 = xs[5] @ (y + hh * k3)
-                diffs[j] = full - (y + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
-                g = full
-                det = np.linalg.det(g)
-                if det <= 0 or not np.isfinite(det):
-                    raise StiffnessSuspected(
-                        f"determinant {det} at t={float(t[j]) + h}; step size unusable"
-                    )
-                drift += abs(det - 1.0)
-                g = g * det ** (-1.0 / n)
-                samples[i0 + j + 1] = g
-        block = diffs[: i1 - i0]
-        if not np.all(np.isfinite(block)):
+                np.matmul(proj[j], samples[i0 + j], out=g[j])
+            if not np.all(np.isfinite(g)):
+                raise StiffnessSuspected(
+                    f"sample not finite by t={float(t[-1]) + h}; step size unusable"
+                )
+            halves = _rk4_matrices(xm, x3, x1, h / 2) @ _rk4_matrices(x0, xq, xm, h / 2)
+            diffs = (full - halves) @ samples[i0:i1]
+        if not np.all(np.isfinite(diffs)):
             raise StiffnessSuspected(
                 f"step-halving difference not finite by t={float(t[-1]) + h}; "
                 "step size unusable"
             )
-        for e in np.linalg.norm(block, 2, axis=(1, 2)).tolist():
+        for e in np.linalg.norm(diffs, 2, axis=(1, 2)).tolist():
             err += e / 15.0
-        derivs[i0 + 1 : i1 + 1] = x[:, 0] @ samples[i0 + 1 : i1 + 1]
+        derivs[i0 + 1 : i1 + 1] = x1 @ g
     if err > STIFFNESS_BUDGET * max(1.0, float(np.max(np.abs(samples)))):
         raise StiffnessSuspected(
             f"accumulated error estimate {err:.3e} exceeds budget "

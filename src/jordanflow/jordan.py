@@ -21,7 +21,6 @@ from .errors import (
     IllConditioned,
     InputError,
     NotElliptic,
-    NotNilpotent,
     Overflow,
     Singular,
 )

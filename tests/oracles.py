@@ -586,8 +586,9 @@ def integrate_fundamental_reference(coef, steps):
 
     The construction ``floquet.integrate_fundamental`` used before its
     per-block coefficient table: 13 coefficient evaluations, 12 matrix
-    products and one 2-norm per step.  Returns the same
-    ``FundamentalSolution`` or raises the same errors.
+    products and one 2-norm per step, projected by the determinant of each
+    sample.  The batched step matrices of ``integrate_fundamental`` round
+    differently, so its samples agree with these up to rounding.
     """
     if not isinstance(coef, PeriodicCoefficient):
         raise InputError("integrate_fundamental needs a PeriodicCoefficient")
