@@ -193,7 +193,8 @@ def _rk4_matrices(x0, xm, x1, dt):
 
 
 def integrate_fundamental(coef, steps):
-    """Classical RK4 on a uniform grid with per-step determinant projection.
+    """Classical RK4 on a uniform grid, each step projected by the
+    determinant of its step matrix.
 
     The local error is estimated by step-halving (Richardson); the summed
     estimate is reported, and StiffnessSuspected is raised when it exceeds

@@ -634,3 +634,40 @@ def integrate_fundamental_reference(coef, steps):
         det_drift=float(drift),
         error_estimate=float(err),
     )
+
+
+def _det_by_elimination(a):
+    """Determinant by Gaussian elimination with partial pivoting, in the
+    dtype of ``a`` (LAPACK's ``det`` has no long double)."""
+    a = a.copy()
+    d = a.dtype.type(1)
+    for j in range(a.shape[0]):
+        p = j + int(np.argmax(np.abs(a[j:, j])))
+        if p != j:
+            a[[j, p]] = a[[p, j]]
+            d = -d
+        d *= a[j, j]
+        a[j + 1 :, j:] -= np.outer(a[j + 1 :, j] / a[j, j], a[j, j:])
+    return d
+
+
+def integrate_fundamental_extended(coef, steps):
+    """The samples of ``integrate_fundamental_reference`` carried in
+    ``np.longdouble``: the same RK4 steps on the same float64 values of X,
+    each sample projected by its own determinant.
+
+    Where long double has a 64-bit significand (x86-64) it rounds 2^11 times
+    finer than float64, so it stands in for exact arithmetic on flows whose
+    samples are ill-conditioned, where the float64 reference's projection by
+    the determinant of each sample is off by far more than rounding.
+    """
+    n = coef.n
+    h = coef.period / steps
+    g = np.eye(n, dtype=np.longdouble)
+    samples = [g]
+    for i in range(steps):
+        g = _rk4_step(coef, i * h, g, h)
+        g = g / _det_by_elimination(g) ** (np.longdouble(1) / n)
+        samples.append(g)
+    return np.array(samples)
+
