@@ -61,11 +61,16 @@ MAX_LEG_DOUBLINGS = 52
 CHAIN_PAIR_BUDGET = 512 * 2**20
 #: peak bytes per edge, measured with ru_maxrss on P^1 and P^2 at N = 3000
 #: with every pair an edge: the adjacency before and after a leg is added,
-#: the leg's block CSRs and their stack, and one block's transients
+#: the leg's column blocks (P^1) or block CSRs (P^2) and their stack, and
+#: one block's transients
 _EDGE_BYTES = 24
-#: candidate pairs one tree query may return; bounds the transient pair
-#: records, gathered rows and cosines of a block of image rows
+#: pairs one block of image rows may test: the candidates a P^2 tree query
+#: returns, or the window rows times the width on P^1; bounds the block's
+#: transient pair records, gathered rows and cosines
 _BLOCK_PAIRS = 2**18
+#: a batched product's |cos| within this of the threshold is decided again
+#: by ``_abs_cos``; the two differed by at most 1.1e-16 on random P^1 flows
+_COS_BAND = 1e-13
 
 
 class ProjectivePoint:
@@ -536,6 +541,48 @@ def _leg_edges(img, pts, tree, radius, cos_thresh, block_rows):
     return sp.vstack(blocks, format="csr")
 
 
+def _window_edges(img, pts, eps, cos_thresh):
+    """Bool CSR of the pairs (i, j) with |img_i . pts_j| > cos_thresh on P^1.
+
+    Grid line j sits at angle pi j / N, so every line within chordal eps of
+    an image lies in a cyclic window of grid indices around the image's
+    angle.  One batched product decides the pairs farther than
+    ``_COS_BAND`` from the threshold, and ``_abs_cos``, which rounds like
+    the gemm, the rest.  A row that is not finite gets no edges.
+    """
+    resolution = len(pts)
+    # grid steps within chordal eps of a line; 2 more cover the floor of the
+    # image's angle and the round-off of that angle and of the cosine
+    steps = 2.0 * math.asin(min(eps, math.sqrt(2.0)) / 2.0) * resolution / math.pi
+    width = min(2 * (math.ceil(steps) + 2) + 1, resolution)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.vstack([pts, pts[:width]]), (width, 2)
+    )[:, 0]
+    block_rows = max(1, _BLOCK_PAIRS // width)
+    counts = np.zeros(len(img) + 1, dtype=np.int32)
+    cols = []
+    for start in range(0, len(img), block_rows):
+        sub = img[start : start + block_rows]
+        live = np.flatnonzero(np.isfinite(sub).all(axis=1))
+        x = sub[live]
+        below = np.floor(np.arctan2(x[:, 1], x[:, 0]) * resolution / np.pi)
+        lo = (below.astype(np.intp) - width // 2) % resolution
+        fast = np.abs(np.matmul(windows[lo], x[:, :, None])[:, :, 0])
+        keep = fast > cos_thresh + _COS_BAND
+        r, k = np.nonzero(~keep & (fast >= cos_thresh - _COS_BAND))
+        keep[r, k] = _abs_cos(x[r], pts[(lo[r] + k) % resolution]) > cos_thresh
+        r, k = np.nonzero(keep)
+        counts[start + 1 + live] = keep.sum(axis=1)
+        cols.append(((lo[r] + k) % resolution).astype(np.int32))
+    indices = np.concatenate(cols)
+    leg = sp.csr_matrix(
+        (np.ones(len(indices), dtype=bool), indices, np.cumsum(counts, dtype=np.int32)),
+        shape=(len(img), resolution),
+    )
+    leg.sort_indices()
+    return leg
+
+
 def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
     """Mark grid points that admit an (eps, T)-chain back to themselves.
 
@@ -544,11 +591,13 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
     grows and eps shrinks the marked set converges to the chain recurrent
     set fix(h^t) on the tested families.
 
-    Each leg's edges come from k-d tree queries of its images against the
-    grid and its negatives, a bounded block of image rows at a time, so the
-    cost is O(N * legs) tree queries and O(edges) memory.  An input whose
-    estimated edges, min(N^2, legs * candidates per leg), would take more
-    than ``CHAIN_PAIR_BUDGET`` bytes is refused before anything is allocated.
+    On P^1, uniform in angle, a batched product tests each image against
+    the window of about N * (4/pi) asin(eps/2) grid lines around its angle;
+    on P^2 k-d tree queries match the images to the grid and its negatives.
+    So a leg costs O(N * window) products or O(N) queries, taken a bounded
+    block of image rows at a time, and the graph O(edges) memory.  An input
+    whose estimated edges, min(N^2, legs * candidates per leg), would take
+    more than ``CHAIN_PAIR_BUDGET`` bytes is refused before allocating.
     """
     pol = pol or DEFAULT_POLICY
     dec = _as_decomposition(dec)
@@ -595,12 +644,22 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
         leg_times.append(t)
         img = pts @ step.T
         img /= np.linalg.norm(img, axis=1)[:, None]
-        adj = (adj + _leg_edges(img, pts, tree, radius, cos_thresh, block_rows)).tocsr()
+        if n == 2:
+            leg = _window_edges(img, pts, eps, cos_thresh)
+        else:
+            leg = _leg_edges(img, pts, tree, radius, cos_thresh, block_rows)
+        adj = (adj + leg).tocsr()
+        del leg  # not alive while the next leg is built
         step = step @ step
         step /= max(np.abs(step).max(), 1e-300)
         t *= 2.0
 
-    ncomp, labels = connected_components(adj, directed=True, connection="strong")
+    # given the bool matrix, connected_components would make a float64 copy
+    # with copied index arrays; a float64 view shares the indices
+    weights = sp.csr_matrix(
+        (np.ones(adj.nnz), adj.indices, adj.indptr), shape=adj.shape, copy=False
+    )
+    ncomp, labels = connected_components(weights, directed=True, connection="strong")
     size = np.bincount(labels, minlength=ncomp)
     selfloop = adj.diagonal()
     cyclic = np.zeros(ncomp, dtype=bool)

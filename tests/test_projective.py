@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +432,21 @@ class TestChainOracle:
                 agree += 1
         assert agree / len(cg.points) >= 0.95
 
+    def test_peak_memory_on_the_benchmark_rotation(self, pol):
+        """The tracemalloc peak on the benchmark's P^1 rotation graph (1.47M
+        edges) stays under 22 MB: the strongly connected components are
+        found on a float64 view of the adjacency, not on a converted copy."""
+        dec = additive_jordan(np.array([[0.0, -1.2], [1.2, 0.0]]), pol)
+        chain_oracle(dec, 2000, 0.05, 1.0, pol)  # load what is imported lazily
+        tracemalloc.start()
+        try:
+            cg = chain_oracle(dec, 2000, 0.05, 1.0, pol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cg.edges.nnz == 1_470_000
+        assert peak < 22 * 2**20
+
     def test_covering_radius_recorded(self, pol):
         g = np.array([[1.0, 1], [0, 1]])
         cg = chain_oracle(multiplicative_jordan(g, pol), 200, 0.05, 1, pol)
@@ -457,9 +474,41 @@ def _first_leg_images(pts, dec):
     return img / np.linalg.norm(img, axis=1)[:, None]
 
 
+@pytest.fixture
+def band_pairs(monkeypatch):
+    """The number of pairs each call from the P^1 window builder hands to
+    ``_abs_cos``; the covering radius's calls are not counted."""
+    seen = []
+
+    def counted(a, b):
+        if sys._getframe(1).f_code.co_name == "_window_edges":
+            seen.append(len(a))
+        return _abs_cos(a, b)
+
+    monkeypatch.setattr(projective, "_abs_cos", counted)
+    return seen
+
+
+@pytest.fixture
+def tree_queries(monkeypatch):
+    """One entry per ``cKDTree.sparse_distance_matrix`` call."""
+    import scipy.spatial
+
+    calls = []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def sparse_distance_matrix(self, *args, **kwargs):
+            calls.append(1)
+            return super().sparse_distance_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    return calls
+
+
 class TestChainGraphMatchesDense:
-    """The k-d tree chain graph equals the dense construction kept in
-    ``oracles.chain_graph_dense``: same edges, marks and covering radius."""
+    """The chain graph, from angular windows on P^1 and k-d tree queries on
+    P^2, equals the dense construction kept in ``oracles.chain_graph_dense``:
+    same edges, marks and covering radius."""
 
     def assert_matches(self, dec, n, resolution, eps, pol):
         cg = chain_oracle(dec, resolution, eps, 1.0, pol)
@@ -484,10 +533,11 @@ class TestChainGraphMatchesDense:
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("resolution,seed", [(8, 6), (64, 7), (257, 8), (600, 9)])
-    def test_eps_on_the_boundary(self, n, resolution, seed, pol):
+    def test_eps_on_the_boundary(self, n, resolution, seed, pol, band_pairs):
         """eps = sqrt(2 - 2c) for an actual image-grid or grid-grid cosine c,
         raised by ulps until that pair passes the strict test
-        c > 1 - eps^2/2, so it sits on the threshold's accepting side."""
+        c > 1 - eps^2/2, so it sits on the threshold's accepting side.  On
+        P^1 those pairs are the ones ``_abs_cos`` decides."""
         dec = _random_decomposition(n, seed, pol)
         pts = projective_grid(n, resolution)
         rng = np.random.default_rng([n, seed, 2])
@@ -502,6 +552,7 @@ class TestChainGraphMatchesDense:
                     eps = math.nextafter(eps, math.inf)
                 assert cos[i, j] - (1.0 - 0.5 * eps * eps) <= 1e-15
                 self.assert_matches(dec, n, resolution, eps, pol)
+        assert (sum(band_pairs) >= 1) == (n == 2)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("eps", [1e-9, 1.3, math.sqrt(2.0), 1.5, 2.0, 3.0])
@@ -575,6 +626,80 @@ class TestChainGraphMatchesDense:
         for a in (img, pts):
             got = _abs_cos(a[i], pts[j]).reshape(600, 600)
             assert np.array_equal(got, np.abs(a @ pts.T))
+
+    def test_batched_product_near_gemm(self, pol):
+        """The P^1 windows' batched product of rows against grid lines is
+        within 1e-15 of the gemm, far inside ``_COS_BAND``, but rounds many
+        cosines 1 ulp apart from it.  With the threshold at either value of
+        such a pair, the window builder keeps the gemm's strict test."""
+        pts = projective_grid(2, 600)
+        grids = np.tile(pts, (600, 1, 1))
+        for seed in range(6):
+            img = _first_leg_images(pts, _random_decomposition(2, seed, pol))
+            gemm = np.abs(img @ pts.T)
+            fast = np.abs(np.matmul(grids, img[:, :, None])[:, :, 0])
+            assert np.abs(fast - gemm).max() <= 1e-15
+            i, j = np.nonzero(fast != gemm)
+            for k in np.random.default_rng(seed).choice(len(i), 4, replace=False):
+                for c in (gemm[i[k], j[k]], fast[i[k], j[k]]):
+                    leg = projective._window_edges(img, pts, math.sqrt(2.0 - 2.0 * c), c)
+                    assert (leg != sp.csr_matrix(gemm > c)).nnz == 0
+
+    @pytest.mark.parametrize("resolution", [8, 9, 64, 65, 1001])
+    @pytest.mark.parametrize("eps", [0.05, 1.3])
+    @pytest.mark.parametrize(
+        "mat",
+        [np.diag([3.0, 1.0 / 3.0]), rotation(1.0), np.array([[1.0, 1.0], [0.0, 1.0]])],
+        ids=["hyperbolic", "rotation", "unipotent"],
+    )
+    def test_p1_windows(self, mat, eps, resolution, pol):
+        """Windows that wrap across angle 0 = pi (every flow here has images
+        within a grid step of it), odd and even N down to 8, and at eps 1.3
+        windows of all N lines (N = 8, 9, 65) or of N - 1 (N = 64)."""
+        dec = multiplicative_jordan(mat, pol)
+        pts = projective_grid(2, resolution)
+        img = _first_leg_images(pts, dec)
+        ang = np.arctan2(img[:, 1], img[:, 0]) % np.pi
+        assert np.minimum(ang, np.pi - ang).min() < np.pi / resolution
+        self.assert_matches(dec, 2, resolution, eps, pol)
+
+    @pytest.mark.parametrize(
+        "resolution,eps", [(8, 0.05), (9, 0.3), (64, 1.3), (65, 0.3), (601, 0.01), (601, 0.2)]
+    )
+    def test_window_is_centred_on_the_image(self, resolution, eps, pol, monkeypatch):
+        """With every window pair sent to ``_abs_cos``, each image row is
+        tested against the w = min(2h + 1, N) lines centred on the grid line
+        at or below its angle, h = ceil(2 asin(eps/2) / step) + 2."""
+        seen = []
+        monkeypatch.setattr(projective, "_COS_BAND", math.inf)
+        monkeypatch.setattr(projective, "_abs_cos", lambda a, b: seen.append((a, b)) or _abs_cos(a, b))
+        pts = projective_grid(2, resolution)
+        img = np.vstack([_first_leg_images(pts, _random_decomposition(2, 15, pol)), pts])
+        projective._window_edges(img, pts, eps, 1.0 - 0.5 * eps * eps)
+        half = math.ceil(2.0 * math.asin(eps / 2.0) * resolution / math.pi) + 2
+        width = min(2 * half + 1, resolution)
+        a, b = (np.concatenate(x) for x in zip(*seen))
+        assert len(a) == len(img) * width
+        a, b = a[::width], b.reshape(-1, width, 2)
+        below = np.floor(np.arctan2(a[:, 1], a[:, 0]) * resolution / np.pi)
+        want = (below[:, None] - width // 2 + np.arange(width)) % resolution
+        got = np.rint(np.arctan2(b[..., 1], b[..., 0]) * resolution / np.pi) % resolution
+        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+
+    def test_benchmark_p1_inputs(self, pol, band_pairs, tree_queries):
+        """The benchmark's P^1 chain jobs (N = 2000, eps 0.05, 12 legs) make
+        no tree query, and no cosine of theirs is near enough the threshold
+        for ``_abs_cos``.  A P^2 oracle still queries its tree."""
+        for dec in (
+            multiplicative_jordan(np.array([[1.0, 1.3], [0.0, 1.0]]), pol),
+            multiplicative_jordan(np.diag([2.2, 1.0 / 2.2]), pol),
+            additive_jordan(np.array([[0.0, -1.2], [1.2, 0.0]]), pol),
+        ):
+            chain_oracle(dec, 2000, 0.05, 1.0, pol)
+        assert tree_queries == []
+        assert len(band_pairs) == 36 and sum(band_pairs) == 0
+        chain_oracle(additive_jordan(x5(1.0), pol), 300, 0.05, 1.0, pol)
+        assert len(tree_queries) == 12
 
 
 class TestChainPairBudget:
