@@ -15,6 +15,7 @@ from .errors import (
     GridTooLarge,
     IllConditioned,
     InputError,
+    InvariantViolated,
     JordanFlowError,
     NoRealLog,
     NonConvergence,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -497,6 +498,8 @@ def _add_common(sub):
 
 
 def build_parser():
+    # each command is looked up when it runs, not when the parser is built,
+    # so a parser kept across calls runs the module's current functions
     parser = argparse.ArgumentParser(
         prog="jordanflow",
         description="Jordan-decomposition analysis of linear flows on "
@@ -507,7 +510,7 @@ def build_parser():
     p = subs.add_parser("decompose", help="Jordan factors with residuals")
     _add_common(p)
     p.add_argument("--time", choices=["continuous", "discrete"], default="continuous")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=lambda args: cmd_decompose(args))
 
     p = subs.add_parser("analyze", help="Morse components, stability verdict")
     _add_common(p)
@@ -521,7 +524,7 @@ def build_parser():
                    help="classify a specific flag (JSON with dims and basis)")
     p.add_argument("--trajectory-out", default=None, metavar="CSV",
                    help="write one seeded projective trajectory as CSV")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=lambda args: cmd_analyze(args))
 
     p = subs.add_parser("chain-oracle", help="brute-force chain recurrence on a grid")
     _add_common(p)
@@ -530,20 +533,26 @@ def build_parser():
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--min-time", type=float, default=1.0)
     p.add_argument("--leg-doublings", type=int, default=11)
-    p.set_defaults(func=cmd_chain_oracle)
+    p.set_defaults(func=lambda args: cmd_chain_oracle(args))
 
     p = subs.add_parser("floquet", help="periodic coefficients: monodromy and generator")
     _add_common(p)
     p.add_argument("--steps", type=int, default=1024)
     p.add_argument("--flag", default=None, help="optional flag signature for the skew census")
-    p.set_defaults(func=cmd_floquet)
+    p.set_defaults(func=lambda args: cmd_floquet(args))
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of ``main``, built on first use and kept for the process:
+    parsing leaves it unchanged, and building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except JordanFlowError as exc:

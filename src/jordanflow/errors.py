@@ -69,5 +69,10 @@ class StiffnessSuspected(JordanFlowError):
     """Integrator error estimate exceeded its budget."""
 
 
+class InvariantViolated(JordanFlowError):
+    """An internal consistency check failed: a defect in jordanflow, not in
+    its input."""
+
+
 class NoRealLog(JordanFlowError):
     """No m in the search budget yields a real logarithm of the monodromy."""

@@ -13,10 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul, sub
 
 import numpy as np
 
-from .errors import IllConditioned, InputError, RankAmbiguous
+from .errors import IllConditioned, InputError, InvariantViolated, RankAmbiguous
 from .jordan import wedge_basis
 from .matrixcore import (
     DEFAULT_POLICY,
@@ -194,7 +196,7 @@ def plucker_embed(basis):
 # Morse components as contingency tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlagMorseComponent:
     """One Morse component fix(H, w) on the flag manifold.
 
@@ -219,22 +221,77 @@ class FlagMorseComponent:
         return self.dim_unstable
 
 
+def _census(row_sums, col_sums, rates):
+    """All nonnegative integer matrices with the given margins, in
+    lexicographic order, with their pair counts: four lists (tables,
+    component, unstable, stable dimensions).
+
+    One recursion over rows, memoized on (row index, remaining column sums),
+    i.e. on the capacities the rows above have used.  A first row is a point
+    of the box prod(range(min(cap, row sum) + 1)) with the right sum, taken
+    in ``itertools.product`` order; the caps sum to n, so the box has at most
+    2^n points.  After a first row f the remaining column sums ``below`` are
+    the slots of each cluster in later increments, so the row adds the exact
+    integers c = sum_j f_j below_j (same cluster), u = sum_j f_j F_j with F_j
+    the ``below`` slots of the clusters faster than j, and s = row sum *
+    sum(below) - c - u (slower clusters and ties); every tail below one
+    state shares its counts.
+    """
+    if all(a > b for a, b in zip(rates, rates[1:])):
+        # strictly decreasing rates: the clusters faster than j are those before it
+        def faster(below):
+            return accumulate(below, initial=0)
+    else:
+        # prefix sums in decreasing rate order, read at the number of
+        # clusters strictly faster than j (ties count as stable)
+        order = sorted(range(len(rates)), key=lambda j: -rates[j])
+        ahead = [sum(r > x for r in rates) for x in rates]
+
+        def faster(below):
+            prefix = list(accumulate([below[j] for j in order], initial=0))
+            return [prefix[a] for a in ahead]
+
+    last = len(row_sums) - 1
+    memo = {}
+
+    def tail(i, rem):
+        out = memo.get((i, rem))
+        if out is not None:
+            return out
+        if i == last:
+            return [(rem,)], [0], [0], [0]
+        total = row_sums[i]
+        pairs = total * (sum(rem) - total)
+        tables, dims_c, dims_u, dims_s = out = [], [], [], []
+        box = itertools.product(*(range(min(c, total) + 1) for c in rem))
+        for row in box:
+            if sum(row) != total:
+                continue
+            below = tuple(map(sub, rem, row))
+            c = sum(map(mul, row, below))
+            u = sum(map(mul, row, faster(below)))
+            s = pairs - c - u
+            if i + 1 == last:  # the last row is ``below`` itself
+                tables.append((row, below))
+                dims_c.append(c)
+                dims_u.append(u)
+                dims_s.append(s)
+                continue
+            rest, rest_c, rest_u, rest_s = tail(i + 1, below)
+            tables += [(row,) + t for t in rest]
+            dims_c += [c + d for d in rest_c]
+            dims_u += [u + d for d in rest_u]
+            dims_s += [s + d for d in rest_s]
+        memo[i, rem] = out
+        return out
+
+    return tail(0, tuple(col_sums))
+
+
 def _tables(row_sums, col_sums):
     """All nonnegative integer matrices with the given margins, in
-    lexicographic order.  A first row is a point of the box
-    prod(range(min(cap, row sum) + 1)) with the right sum; the caps sum to
-    n, so the box has at most 2^n points."""
-    if len(row_sums) == 1:
-        yield (tuple(col_sums),)
-        return
-    total = row_sums[0]
-    box = itertools.product(*(range(min(c, total) + 1) for c in col_sums))
-    for first_row in box:
-        if sum(first_row) != total:
-            continue
-        remaining = [c - f for c, f in zip(col_sums, first_row)]
-        for rest in _tables(row_sums[1:], remaining):
-            yield (first_row,) + rest
+    lexicographic order."""
+    return _census(row_sums, col_sums, (0.0,) * len(col_sums))[0]
 
 
 def _pair_counts(tables, rates):
@@ -266,10 +323,14 @@ def enumerate_morse_components(filt, dims, pol=None):
 
     Complete and duplicate-free: the components are exactly the nonnegative
     integer matrices with row sums = flag increments and column sums =
-    cluster multiplicities (the double-coset count for the symmetric group).
-    The rates of a filtration are distinct, so exactly one table has no
-    unstable pair, the attractor (largest rates in the earliest increments),
-    and exactly one has no stable pair, the repeller.
+    cluster multiplicities (the double-coset count for the symmetric group),
+    listed in lexicographic order.  One recursion over the rows, memoized on
+    the column capacities the earlier rows used, lists the tables and carries
+    each row's pair counts (``_census``).  The rates of a filtration are
+    distinct, so exactly one table has no unstable pair, the attractor
+    (largest rates in the earliest increments), and exactly one has no stable
+    pair, the repeller.  Every table's three dimensions must sum to the
+    manifold dimension; ``InvariantViolated`` otherwise.
     """
     pol = pol or DEFAULT_POLICY
     if not isinstance(filt, RateFiltration):
@@ -278,26 +339,18 @@ def enumerate_morse_components(filt, dims, pol=None):
         dims = FlagType(tuple(dims))
     dims.validate_for(filt.n)
     increments = dims.increments(filt.n)
-    tables = list(_tables(list(increments), list(filt.mults)))
-    dims_c, dims_u, dims_s = (d.tolist() for d in _pair_counts(tables, filt.rates))
-    comps = [
-        FlagMorseComponent(
-            assignment=table,
-            rates=filt.rates,
-            increments=increments,
-            dim_component=dim_c,
-            dim_unstable=dim_u,
-            dim_stable=dim_s,
-            is_attractor=(dim_u == 0),
-            is_repeller=(dim_s == 0),
-        )
-        for table, dim_c, dim_u, dim_s in zip(tables, dims_c, dims_u, dims_s)
-    ]
+    rates = filt.rates
+    census = _census(increments, filt.mults, rates)
     total = dims.manifold_dimension(filt.n)
-    assert all(
-        c.dim_component + c.dim_unstable + c.dim_stable == total for c in comps
-    )
-    return comps
+    if any(c + u + s != total for c, u, s in zip(*census[1:])):
+        raise InvariantViolated(
+            f"a Morse component's dimensions do not sum to the manifold "
+            f"dimension {total}"
+        )
+    return [
+        FlagMorseComponent(table, rates, increments, c, u, s, u == 0, s == 0)
+        for table, c, u, s in zip(*census)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +571,10 @@ def classify_flow(dec, dims, pol=None):
     components = enumerate_morse_components(filt, dims, pol)
     attractor = next(i for i, c in enumerate(components) if c.is_attractor)
     repeller = next(i for i, c in enumerate(components) if c.is_repeller)
-    if not h_regular:
-        # non-regular flows must have a positive-dimensional component
-        assert any(c.dim_component > 0 for c in components)
+    if not h_regular and all(c.dim_component == 0 for c in components):
+        raise InvariantViolated(
+            "a non-regular flow has no positive-dimensional Morse component"
+        )
 
     return FlowClassification(
         h_regular=h_regular,

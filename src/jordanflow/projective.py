@@ -237,12 +237,21 @@ def _filtration(spectral, continuous, pol):
             groups.append(([rate], [c]))
     blocks = tuple(np.hstack([c.basis for c in cs]) for _, cs in groups)
     return RateFiltration(
-        rates=tuple(float(np.mean(rates)) for rates, _ in groups),
+        rates=tuple(_rate_mean(rates) for rates, _ in groups),
         mults=tuple(sum(c.multiplicity for c in cs) for _, cs in groups),
         blocks=blocks,
         transform=np.hstack(blocks),
         continuous=continuous,
     )
+
+
+def _rate_mean(rates):
+    """``float(np.mean(rates))`` bitwise.  A group of one is the common case
+    and skips the array: x + 0.0 is x, except that -0.0 becomes 0.0, as it
+    does in ``np.mean``."""
+    if len(rates) == 1:
+        return float(rates[0]) + 0.0
+    return float(np.mean(rates))
 
 
 def _as_decomposition(dec):

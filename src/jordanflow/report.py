@@ -3,7 +3,10 @@
 Reports are deterministic: floats are printed with 17 significant digits
 (lossless for doubles), dict key order is fixed by construction, and every
 numerical verdict travels with its margin.  parse -> emit is the identity on
-report bytes.
+report bytes.  The writer dispatches each list on the type of its first
+element and writes each distinct flat row of exact ints or exact floats
+once per call (a census repeats its assignment rows and rates thousands of
+times); the row memo lives for one call only.
 """
 
 from __future__ import annotations
@@ -31,19 +34,24 @@ def _fmt_float(x):
 
 def dumps_canonical(obj, indent=0):
     """Serialize to JSON with fixed float formatting; byte-stable."""
-    return _dumps(obj, indent, {})
+    return _dumps(obj, indent, {}, {})
 
 
 _FLAT = (bool, int, float, np.floating, np.integer)
 
 
-def _dumps(obj, indent, keys):
+def _dumps(obj, indent, keys, rows):
     """The recursion behind ``dumps_canonical``.  Exact built-in types are
     dispatched on ``type``; subclasses and numpy values take the isinstance
-    chain.  ``keys`` caches the JSON text of ``str`` dict keys.  Each
-    container joins its own fragments: a fragment list for the whole report
-    would hold every piece of it alive until the end and raise the peak
-    memory."""
+    chain.  A list is dispatched on the type of its first element, so a list
+    of containers is laid out without scanning it for leaves.  Two caches
+    live for one call: ``keys`` holds the JSON text of ``str`` dict keys, and
+    ``rows`` the text of flat rows of exact ints or exact floats, keyed on
+    (formatter, tuple(row)): the formatter tells ``[10**20]`` from
+    ``[1e20]``, and the key is the row's value, never its ``id``, which
+    temporaries reuse.  Each container joins its own fragments: a fragment
+    list for the whole report would hold every piece of it alive until the
+    end and raise the peak memory."""
     kind = type(obj)
     if kind is float:
         return _fmt_float(obj)
@@ -61,7 +69,7 @@ def _dumps(obj, indent, keys):
         elif isinstance(obj, (list, tuple)):
             obj = list(obj)
         elif isinstance(obj, np.ndarray):
-            return _dumps(obj.tolist(), indent, keys)
+            return _dumps(obj.tolist(), indent, keys, rows)
         else:
             return _scalar(obj)
     if not obj:
@@ -76,18 +84,23 @@ def _dumps(obj, indent, keys):
                     text = keys[k] = json.dumps(k)
             else:
                 text = json.dumps(str(k))
-            parts += (inner, text, ": ", _dumps(v, indent + 2, keys), ",\n")
+            parts += (inner, text, ": ", _dumps(v, indent + 2, keys, rows), ",\n")
         parts[-1] = "\n" + inner[2:] + "}"
         return "".join(parts)
-    if all(type(v) is int for v in obj):
-        return "[" + ", ".join(map(str, obj)) + "]"
-    if all(type(v) is float for v in obj):
-        return "[" + ", ".join(map(_fmt_float, obj)) + "]"
-    if all(isinstance(v, _FLAT) for v in obj):
+    first = type(obj[0])
+    if first is int or first is float:
+        if all(type(v) is first for v in obj):
+            fmt = str if first is int else _fmt_float
+            key = (fmt, tuple(obj))
+            text = rows.get(key)
+            if text is None:
+                text = rows[key] = "[" + ", ".join(map(fmt, obj)) + "]"
+            return text
+    if isinstance(obj[0], _FLAT) and all(isinstance(v, _FLAT) for v in obj):
         return "[" + ", ".join(map(_scalar, obj)) + "]"
     parts = ["[\n"]
     for v in obj:
-        parts += (inner, _dumps(v, indent + 2, keys), ",\n")
+        parts += (inner, _dumps(v, indent + 2, keys, rows), ",\n")
     parts[-1] = "\n" + inner[2:] + "]"
     return "".join(parts)
 
@@ -148,13 +161,19 @@ def spectrum_dict(data):
 
 
 def components_table(components):
+    """One dict per component; assignments stay tuples (they render as
+    lists), and components with equal ``rates`` share one rates list."""
     out = []
+    rates_lists = {}
     for i, c in enumerate(components):
+        rates = rates_lists.get(c.rates)
+        if rates is None:
+            rates = rates_lists[c.rates] = [float(r) for r in c.rates]
         out.append(
             {
                 "index": i + 1,
-                "assignment": [list(r) for r in c.assignment],
-                "cluster_rates": [float(r) for r in c.rates],
+                "assignment": c.assignment,
+                "cluster_rates": rates,
                 "dim": c.dim_component,
                 "n_w": c.dim_unstable,
                 "stable_dim": c.dim_stable,

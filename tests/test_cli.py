@@ -13,6 +13,7 @@ import pytest
 import jsonschema
 
 import jordanflow
+from jordanflow import cli
 from jordanflow.cli import SimulationContradiction, main
 from jordanflow.errors import (
     GridTooLarge,
@@ -831,6 +832,56 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and err[0].startswith("jordanflow: error: a Bruhat rank")
         assert err[1].startswith("jordanflow: margins: {'worst_sigma_over_threshold': ")
+
+
+class TestParserReuse:
+    def test_calls_match_fresh_parsers(self, x4_file, tmp_path, capsys):
+        """In-process calls share one parser and give the exit codes and
+        bytes of calls that each build their own, an argparse exit between
+        two good calls included."""
+        periodic = tmp_path / "p.json"
+        periodic.write_text(json.dumps({"T": 1.0, "A0": x4(1, 2).tolist()}))
+        f = str(x4_file)
+        sequence = [
+            ["decompose", f],
+            ["analyze", f, "--flag", "1,2", "--simulate", "2"],
+            ["analyze", f, "--flag", "1,2", "--no-such-option"],
+            ["floquet", str(periodic), "--steps", "64", "--flag", "1"],
+            ["analyze", f, "--flag", "0"],
+            ["decompose", f, "--time", "discrete"],
+            ["analyze", f, "--flag", "2"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        cli._parser.cache_clear()
+        shared = [run(argv) for argv in sequence]
+        assert [r[0] for r in shared] == [0, 0, 2, 0, 2, 0, 0]
+        assert shared == fresh
+        assert cli._parser.cache_info().misses == 1
+
+    def test_parser_is_built_on_first_use(self):
+        src = str(Path(jordanflow.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import jordanflow.cli as c; print(c._parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestEntryPoint:

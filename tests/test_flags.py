@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,8 @@ from jordanflow import (
     wedge_infinitesimal,
     wedge_representation,
 )
-from jordanflow.errors import IllConditioned, RankAmbiguous
+from jordanflow import flags
+from jordanflow.errors import IllConditioned, InvariantViolated, RankAmbiguous
 from jordanflow.flags import (
     RateFiltration,
     _cell_assignment,
@@ -291,6 +293,90 @@ class TestTableOrder:
         tables = list(_tables([1] * 7, [1] * 7))
         assert len(set(tables)) == len(tables) == 5040
         assert tables == sorted(tables)
+
+
+@st.composite
+def census_margins(draw):
+    """(n, flag dims, cluster multiplicities, cluster rates) for n <= 8 whose
+    brute-force table scan stays small.  Rates come from a small integer
+    pool, unsorted, so repeated rates in different columns occur."""
+    n = draw(st.integers(2, 8))
+    dims = tuple(sorted(draw(st.sets(st.integers(1, n - 1), min_size=1))))
+    col_cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    mults = tuple(b - a for a, b in zip([0, *col_cuts], [*col_cuts, n]))
+    increments = FlagType(dims).increments(n)
+    assume(math.prod(min(r, c) + 1 for r in increments for c in mults) <= 20_000)
+    rates = tuple(
+        draw(st.lists(st.integers(-2, 2).map(float), min_size=len(mults), max_size=len(mults)))
+    )
+    return n, dims, mults, rates
+
+
+class TestCensusRecursion:
+    """The memoized recursion lists the tables and their pair counts in one
+    pass; both are checked against the brute-force oracles."""
+
+    @given(case=census_margins())
+    @settings(max_examples=120, deadline=None)
+    def test_sequence_matches_oracles(self, case):
+        n, dims, mults, rates = case
+        comps = enumerate_morse_components(_filtration(n, mults, rates), dims)
+        got = [(c.assignment, c.dim_component, c.n_w, c.dim_stable) for c in comps]
+        increments = FlagType(dims).increments(n)
+        want = [
+            (t, *pair_counts_bruteforce(t, rates))
+            for t in sorted(contingency_tables_bruteforce(list(increments), list(mults)))
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            (2.0, 1.0, 0.0, -1.0),
+            (-1.0, 0.0, 1.0, 2.0),
+            (1.0, 1.0, 0.0, 0.0),
+            (0.0, 2.0, 0.0, -1.0),
+        ],
+    )
+    def test_sorted_and_general_rate_orders(self, rates):
+        """Strictly decreasing rates take the prefix-sum shortcut; any other
+        order (and ties) the general one.  Both against the oracle."""
+        comps = enumerate_morse_components(_filtration(6, (1, 2, 2, 1), rates), (1, 3, 4))
+        assert len(comps) == len(
+            contingency_tables_bruteforce([1, 2, 1, 2], [1, 2, 2, 1])
+        )
+        for c in comps:
+            assert (c.dim_component, c.n_w, c.dim_stable) == pair_counts_bruteforce(
+                c.assignment, rates
+            )
+
+    def test_dimension_sum_certificate(self, monkeypatch):
+        """A table whose three dimensions miss the manifold dimension is
+        refused, not listed."""
+        census = flags._census
+
+        def planted(*args):
+            tables, dims_c, dims_u, dims_s = census(*args)
+            return tables, dims_c, dims_u, [dims_s[0] + 1, *dims_s[1:]]
+
+        filt = rate_filtration(additive_jordan(x1(1, 2)))
+        assert len(enumerate_morse_components(filt, (1, 2))) == 6
+        monkeypatch.setattr(flags, "_census", planted)
+        with pytest.raises(InvariantViolated):
+            enumerate_morse_components(filt, (1, 2))
+
+    def test_non_regular_needs_a_positive_dimensional_component(self, monkeypatch):
+        """classify_flow refuses a non-regular census without a
+        positive-dimensional component; a regular one is not checked."""
+        enumerate_ = flags.enumerate_morse_components
+
+        def planted(*args):
+            return [dataclasses.replace(c, dim_component=0) for c in enumerate_(*args)]
+
+        monkeypatch.setattr(flags, "enumerate_morse_components", planted)
+        with pytest.raises(InvariantViolated):
+            classify_flow(additive_jordan(x4(1, 2)), (1, 2))
+        assert classify_flow(additive_jordan(x1(1, 2)), (1, 2)).h_regular
 
 
 class TestBruhatCell:

@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 import tracemalloc
 
@@ -34,6 +35,7 @@ from jordanflow.projective import (
     SUBSTEP_BUDGET,
     _abs_cos,
     _chain_candidates,
+    _rate_mean,
     _step_matrix,
     _substeps,
     projective_grid,
@@ -137,6 +139,30 @@ class TestMorseComponents:
     def test_moduli_clusters_join_opposite_signs(self):
         md = morse_components_projective(multiplicative_jordan(np.diag([2.0, -2.0, 0.25])))
         assert [c.multiplicity for c in md.components] == [2, 1]
+
+
+class TestRateMean:
+    """The rate of a cluster group is ``np.mean`` of its members, bitwise."""
+
+    @given(
+        rates=st.lists(
+            st.one_of(
+                st.floats(-1e6, 1e6),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_np_mean(self, rates):
+        got = _rate_mean(rates)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", float(np.mean(rates)))
+
+    @pytest.mark.parametrize("x", [-0.0, 0.0, 5e-324, -5e-324, -2.5])
+    def test_one_member(self, x):
+        assert struct.pack("<d", _rate_mean([x])) == struct.pack("<d", float(np.mean([x])))
 
 
 class TestStableSetIndex:

@@ -76,6 +76,53 @@ class TestDumpsCanonical:
             with pytest.raises(InputError):
                 dumps(wrap(bad))
 
+    def test_rows_that_compare_equal_keep_their_own_text(self):
+        """Flat rows are written once per distinct (formatter, value); rows
+        equal as tuples but of other types keep their own text."""
+
+        class Count(int):
+            def __str__(self):
+                return "not-this"
+
+        report = {
+            "ints": [[1, 0], (1, 0), [10**20, 0]],
+            "floats": [[1.0, 0.0], (1.0, 0.0), [1e20, 0.0], [1e20, 0]],
+            "bools": [[True, False], (True, False), [1, False]],
+            "zeros": [[-0.0, 0.0], [0.0, -0.0], [0, 0]],
+            "numpy": [
+                [np.int64(1), np.int64(0)],
+                [np.float64(1e20), np.float64(0.0)],
+                np.array([1e20, 0.0]),
+                np.array([10**18, 0]),
+            ],
+            "subclass": [[Count(1), Count(0)], [1, 0]],
+            "again": [[1e20, 0.0], [10**20, 0], (True, False), [1, 0]],
+        }
+        for indent in (0, 3):
+            assert dumps_canonical(report, indent) == dumps_canonical_reference(report, indent)
+
+    def test_row_memo_lives_for_one_call(self):
+        """A list mutated between two calls is written as it is now, and the
+        row texts of a call are freed when it returns."""
+        row = [1.5, 2.5]
+        report = {"a": row, "b": [row, [3, 4]]}
+        first = dumps_canonical(report)
+        row[0] = 7.25
+        second = dumps_canonical(report)
+        assert second == dumps_canonical_reference(report) != first
+        # the first call fills the interpreter's tuple free lists, which
+        # tracemalloc would count as kept; the second writes other rows
+        dumps_canonical([[i + j / 32 for j in range(24)] for i in range(2000)])
+        rows = [[i - j / 32 for j in range(24)] for i in range(2000)]
+        tracemalloc.start()
+        try:
+            text = dumps_canonical({"rows": rows})
+            del text
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 100_000
+
     def test_full_flag_report_peak_memory(self, tmp_path):
         """The tracemalloc peak while serializing the 5,040-component
         analyze report of a 7x7 diagonal input stays within 3.5x the output
