@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import GridTooLarge, InputError
+from .errors import GridTooLarge, InputError, InvariantViolated
 from .jordan import AdditiveJordan, MultiplicativeJordan
 from .matrixcore import (
     DEFAULT_POLICY,
@@ -286,7 +286,8 @@ def morse_components_projective(dec, pol=None):
             for rate, mult, block in zip(filt.rates, filt.mults, filt.blocks)
         )
     )
-    assert sum(c.multiplicity for c in md.components) == dec.spectral.n
+    if sum(c.multiplicity for c in md.components) != dec.spectral.n:
+        raise InvariantViolated("the Morse components' multiplicities do not sum to n")
     return md
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import sys
@@ -12,6 +13,7 @@ from jordanflow import (
     GridTooLarge,
     IllConditioned,
     InputError,
+    InvariantViolated,
     NotNilpotent,
     ProjectivePoint,
     RankAmbiguous,
@@ -135,6 +137,20 @@ class TestMorseComponents:
         md = morse_components_projective(multiplicative_jordan(np.diag([3.0, 2.0, 1.0])))
         assert [c.multiplicity for c in md.components] == [1, 1, 1]
         assert [round(c.value, 9) for c in md.components] == [3.0, 2.0, 1.0]
+
+    def test_multiplicities_must_sum_to_n(self, monkeypatch):
+        """A rate frame whose multiplicities miss n is refused."""
+        frame = projective._filtration
+
+        def planted(*args):
+            filt = frame(*args)
+            return dataclasses.replace(filt, mults=(*filt.mults[:-1], filt.mults[-1] + 1))
+
+        dec = additive_jordan(x4(1, 2))
+        assert len(morse_components_projective(dec).components) == 2
+        monkeypatch.setattr(projective, "_filtration", planted)
+        with pytest.raises(InvariantViolated):
+            morse_components_projective(dec)
 
     def test_moduli_clusters_join_opposite_signs(self):
         md = morse_components_projective(multiplicative_jordan(np.diag([2.0, -2.0, 0.25])))
