@@ -30,12 +30,9 @@ from .flags import (
     FlagType,
     bruhat_cell,
     classify_flow,
-    component_defect,
     flag_recurrent_membership,
-    random_flag,
-    simulate_flag,
+    simulation_check,
     stable_set_index,
-    unstable_bruhat_cell,
 )
 from .floquet import (
     PeriodicCoefficient,
@@ -270,16 +267,11 @@ def cmd_decompose(args):
     return 0
 
 
-def _write_trajectory_csv(path, dec, filt, pol, seed, horizon):
+def _write_trajectory_csv(path, dec, filt, pol, seed, horizon, step):
     rng = np.random.default_rng(seed)
     n = dec.spectral.n
     p0 = ProjectivePoint(rng.normal(size=n))
     target = stable_set_index(p0, filt, pol)
-    step = 0.5 if dec.continuous else 1
-    if (horizon + step / 2) / step > SUBSTEP_BUDGET:
-        raise GridTooLarge(
-            f"--horizon {horizon:g} needs more than {SUBSTEP_BUDGET} trajectory rows"
-        )
     ts = np.arange(0.0, horizon + step / 2, step)
     traj = simulate_projective(dec, p0, ts)
     md = morse_components_projective(dec, pol)
@@ -306,12 +298,23 @@ def cmd_analyze(args):
         raise InputError(f"--seed {args.seed} must be nonnegative")
     if not 0 < args.horizon < np.inf:
         raise InputError(f"--horizon {args.horizon} must be positive and finite")
+    step = 0.5 if args.time == "continuous" else 1
+    if args.trajectory_out and (args.horizon + step / 2) / step > SUBSTEP_BUDGET:
+        raise GridTooLarge(
+            f"--horizon {args.horizon:g} needs more than {SUBSTEP_BUDGET} trajectory rows"
+        )
+    flag = None
+    if args.classify_flag:
+        flag, flag_hash = parse_flag_input(args.classify_flag, input_echo["n"])
+        if flag.dims.dims != dims.dims:
+            raise InputError(
+                f"flag file signature {flag.dims.dims} differs from --flag "
+                f"{dims.dims}"
+            )
     warnings = []
 
     dec = _decompose(mat, pol, args.time)
     cls = classify_flow(dec, dims, pol)
-    filt = cls.filtration
-    comps = list(cls.components)
     if cls.rate_margin < 10.0:
         warnings.append(
             f"rate clustering margin {cls.rate_margin:.3g} is within 10x of "
@@ -321,43 +324,26 @@ def cmd_analyze(args):
 
     simulation = None
     if args.simulate:
-        rng = np.random.default_rng(args.seed)
         horizon = args.horizon if dec.continuous else max(1, int(args.horizon))
-        matches = [0, 0]  # forward, reverse
-        worst = 0.0
-        for _ in range(args.simulate):
-            f0 = random_flag(input_echo["n"], dims, rng)
-            legs = ((bruhat_cell, horizon), (unstable_bruhat_cell, -horizon))
-            for i, (cell, t) in enumerate(legs):
-                # a flag in a Bruhat cell tends to that component: score it only
-                pred = cell(f0, filt, dims, pol, components=comps)
-                end = simulate_flag(dec, f0, [t])[-1]
-                defect = component_defect(end, comps[pred], filt)
-                worst = max(worst, defect)
-                if defect <= pol.sim_tol:
-                    matches[i] += 1
+        forward, reverse, worst = simulation_check(
+            dec, cls, dims, args.simulate, args.seed, horizon, pol
+        )
         simulation = {
             "requested": args.simulate,
-            "forward_matches": matches[0],
-            "reverse_matches": matches[1],
+            "forward_matches": forward,
+            "reverse_matches": reverse,
             "worst_defect": float(worst),
             "seed": args.seed,
             "horizon": float(horizon),
         }
 
     flag_classification = None
-    if args.classify_flag:
-        flag, flag_hash = parse_flag_input(args.classify_flag, input_echo["n"])
-        if flag.dims.dims != dims.dims:
-            raise InputError(
-                f"flag file signature {flag.dims.dims} differs from --flag "
-                f"{dims.dims}"
-            )
+    if flag is not None:
         if flag.was_reorthonormalized:
             warnings.append(
                 "flag basis was not orthonormal within 1e-8; re-orthonormalized"
             )
-        cell = bruhat_cell(flag, filt, dims, pol, components=comps)
+        cell = bruhat_cell(flag, cls.filtration, dims, pol, components=cls.components)
         flag_classification = {
             "sha256": flag_hash,
             "cell_index": cell + 1,
@@ -367,7 +353,7 @@ def cmd_analyze(args):
 
     if args.trajectory_out:
         _write_trajectory_csv(
-            args.trajectory_out, dec, filt, pol, args.seed, args.horizon
+            args.trajectory_out, dec, cls.filtration, pol, args.seed, args.horizon, step
         )
 
     report = {
@@ -383,7 +369,7 @@ def cmd_analyze(args):
             "attractor_index": cls.attractor_index + 1,
             "repeller_index": cls.repeller_index + 1,
         },
-        "components": components_table(comps),
+        "components": components_table(cls.components),
         "flag_classification": flag_classification,
         "simulation": simulation,
         "warnings": warnings,
@@ -444,6 +430,10 @@ def cmd_chain_oracle(args):
 def cmd_floquet(args):
     pol = _policy(args)
     coef, input_echo = parse_periodic_input(args.input)
+    dims = None
+    if args.flag:
+        dims = _parse_dims(args.flag)
+        dims.validate_for(input_echo["n"])
     fund = integrate_fundamental(coef, args.steps)
     fd = floquet_data(fund, pol)
 
@@ -454,11 +444,8 @@ def cmd_floquet(args):
     )
 
     components = None
-    if args.flag:
-        dims = _parse_dims(args.flag)
-        dims.validate_for(input_echo["n"])
-        fmd = floquet_morse_components(fd, dims, pol)
-        components = components_table(fmd.components)
+    if dims is not None:
+        components = components_table(floquet_morse_components(fd, dims, pol).components)
 
     report = {
         **_header(args, input_echo, pol),

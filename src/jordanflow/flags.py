@@ -29,6 +29,7 @@ from .matrixcore import (
 from .projective import (
     ProjectivePoint,
     RateFiltration,
+    _advance,
     _as_decomposition,
     _filtration,
     _invariance_residual,
@@ -54,6 +55,7 @@ __all__ = [
     "height_lyapunov",
     "component_defect",
     "nearest_component",
+    "simulation_check",
     "random_flag",
 ]
 
@@ -221,6 +223,26 @@ class FlagMorseComponent:
         return self.dim_unstable
 
 
+def _faster_slots(rates):
+    """Map slot counts per cluster to F, F_j the slots in clusters strictly
+    faster than cluster j: ties count as slower, so their pairs are stable."""
+    if all(a > b for a, b in zip(rates, rates[1:])):
+        # strictly decreasing rates: the clusters faster than j are those before it
+        def faster(below):
+            return accumulate(below, initial=0)
+    else:
+        # prefix sums in decreasing rate order, read at the number of
+        # clusters strictly faster than j
+        order = sorted(range(len(rates)), key=lambda j: -rates[j])
+        ahead = [sum(r > x for r in rates) for x in rates]
+
+        def faster(below):
+            prefix = list(accumulate([below[j] for j in order], initial=0))
+            return [prefix[a] for a in ahead]
+
+    return faster
+
+
 def _census(row_sums, col_sums, rates):
     """All nonnegative integer matrices with the given margins, in
     lexicographic order, with their pair counts: four lists (tables,
@@ -237,20 +259,7 @@ def _census(row_sums, col_sums, rates):
     sum(below) - c - u (slower clusters and ties); every tail below one
     state shares its counts.
     """
-    if all(a > b for a, b in zip(rates, rates[1:])):
-        # strictly decreasing rates: the clusters faster than j are those before it
-        def faster(below):
-            return accumulate(below, initial=0)
-    else:
-        # prefix sums in decreasing rate order, read at the number of
-        # clusters strictly faster than j (ties count as stable)
-        order = sorted(range(len(rates)), key=lambda j: -rates[j])
-        ahead = [sum(r > x for r in rates) for x in rates]
-
-        def faster(below):
-            prefix = list(accumulate([below[j] for j in order], initial=0))
-            return [prefix[a] for a in ahead]
-
+    faster = _faster_slots(rates)
     last = len(row_sums) - 1
     memo = {}
 
@@ -288,34 +297,18 @@ def _census(row_sums, col_sums, rates):
     return tail(0, tuple(col_sums))
 
 
-def _tables(row_sums, col_sums):
-    """All nonnegative integer matrices with the given margins, in
-    lexicographic order."""
-    return _census(row_sums, col_sums, (0.0,) * len(col_sums))[0]
-
-
-def _pair_counts(tables, rates):
-    """(component, unstable, stable) dimensions of K tables at once, as three
-    int64 arrays of length K.
-
-    ``below[k, i, j]`` counts the slots of cluster j in increments after i;
-    a pair (i, ja) x (later, jb) lies in the component when ja == jb, is
-    unstable when rates[jb] > rates[ja], and stable otherwise (ties
-    included).  Integer arithmetic throughout, so the counts are exact.
-    """
-    a = np.array(tables, dtype=np.int64)
-    below = a[:, ::-1].cumsum(axis=1)[:, ::-1] - a
-    r = np.asarray(rates, dtype=float)
-    faster = (r[None, :] > r[:, None]).astype(np.int64)
-    dim_c = (a * below).sum(axis=(1, 2))
-    dim_u = ((a @ faster) * below).sum(axis=(1, 2))
-    pairs = (a.sum(axis=2) * below.sum(axis=2)).sum(axis=1)
-    return dim_c, dim_u, pairs - dim_c - dim_u
-
-
 def component_dimensions(assignment, rates):
-    """(component, unstable, stable) dimensions by pair counting."""
-    return tuple(int(d[0]) for d in _pair_counts([assignment], rates))
+    """(component, unstable, stable) dimensions by pair counting: the sums
+    over the table's rows of the counts ``_census`` adds for each row."""
+    faster = _faster_slots(rates)
+    below = [sum(col) for col in zip(*assignment)]
+    counts = []
+    for row in assignment:
+        below = list(map(sub, below, row))
+        c = sum(map(mul, row, below))
+        u = sum(map(mul, row, faster(below)))
+        counts.append((c, u, sum(row) * sum(below) - c - u))
+    return tuple(map(sum, zip(*counts)))
 
 
 def enumerate_morse_components(filt, dims, pol=None):
@@ -487,10 +480,34 @@ def component_defect(flag, component, filt):
 def nearest_component(flag, components, filt):
     """(index, defect) of the component the flag is closest to, scoring all
     of them: the reference that tests check the Bruhat prediction against.
-    The CLI scores only the predicted component, with ``component_defect``."""
+    ``simulation_check`` scores only the predicted component."""
     defects = [component_defect(flag, c, filt) for c in components]
     i = int(np.argmin(defects))
     return i, defects[i]
+
+
+def simulation_check(dec, cls, dims, starts, seed, horizon, pol=None):
+    """(forward matches, reverse matches, worst defect) of ``starts`` seeded
+    random flags flowed over +-``horizon``.  Each end flag is scored with
+    ``component_defect`` against the one component its stable (unstable)
+    Bruhat cell predicts, a match at most ``sim_tol``; all starts share one
+    step cache per direction."""
+    pol = pol or DEFAULT_POLICY
+    filt, comps = cls.filtration, cls.components
+    rng = np.random.default_rng(seed)
+    legs = ((bruhat_cell, horizon, {}), (unstable_bruhat_cell, -horizon, {}))
+    matches = [0, 0]
+    worst = 0.0
+    for _ in range(starts):
+        f0 = random_flag(filt.n, dims, rng)
+        for i, (cell, t, cache) in enumerate(legs):
+            pred = cell(f0, filt, dims, pol, components=comps)
+            end = Flag(_advance(dec, f0.basis, t, cache, _orthonormalize), f0.dims)
+            defect = component_defect(end, comps[pred], filt)
+            worst = max(worst, defect)
+            if defect <= pol.sim_tol:
+                matches[i] += 1
+    return matches[0], matches[1], worst
 
 
 def flag_recurrent_membership(flag, dec, pol=None, tol=None):

@@ -17,12 +17,10 @@ import numpy as np
 from .errors import GridTooLarge, InputError, NoRealLog, StiffnessSuspected
 from .flags import (
     Flag,
-    FlagType,
     _cell_assignment,
     _orthonormalize,
-    enumerate_morse_components,
+    classify_flow,
     height_lyapunov,
-    rate_filtration,
 )
 from .jordan import additive_jordan, multiplicative_jordan
 from .matrixcore import DEFAULT_POLICY, as_square_matrix, matrix_exp, opnorm
@@ -395,14 +393,17 @@ def _pull_back(fd, s, flag):
 class FloquetMorseDecomposition:
     """Finest Morse decomposition of the skew flow on S^1 x FlagManifold.
 
-    Components are the autonomous components of exp(tX) transported along
+    Components are the autonomous components of exp(tX), classified by
+    ``classify_flow`` on the generator's decomposition, transported along
     the fiber by a(s): M(w) = {(s, a(s) x) : x in fix(H, w)}.
     """
 
     data: FloquetData
-    dims: tuple
-    components: tuple
-    filtration: object
+    classification: object  # FlowClassification of data.dec
+
+    @property
+    def components(self):
+        return self.classification.components
 
     def membership(self, s, flag, index, pol=None, tol=None):
         """(s, flag) lies in component ``index`` iff a(s)^(-1) flag is an
@@ -416,21 +417,15 @@ class FloquetMorseDecomposition:
             for i in range(len(z.dims.dims))
         ):
             return False
-        table, _ = _cell_assignment(z, self.filtration, pol)
+        table, _ = _cell_assignment(z, self.classification.filtration, pol)
         return table == self.components[index].assignment
 
 
 def floquet_morse_components(fd, dims, pol=None):
-    """Morse components of the skew flow, each the base component plus the
-    transport rule x -> a(s) x."""
-    pol = pol or DEFAULT_POLICY
-    if not isinstance(dims, FlagType):
-        dims = FlagType(tuple(dims))
-    filt = rate_filtration(fd.dec, pol)
-    comps = enumerate_morse_components(filt, dims, pol)
-    return FloquetMorseDecomposition(
-        data=fd, dims=dims.dims, components=tuple(comps), filtration=filt
-    )
+    """Morse components of the skew flow: the generator's classification on
+    ``dims``, each component with the transport rule x -> a(s) x."""
+    cls = classify_flow(fd.dec, dims, pol)
+    return FloquetMorseDecomposition(data=fd, classification=cls)
 
 
 def floquet_lyapunov(fd, s, flag, pol=None):

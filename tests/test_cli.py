@@ -197,22 +197,22 @@ class TestAnalyze:
         assert main(["analyze", str(x4_file), "--flag", "1,2,3"]) == 2
 
     def test_contradiction_exit_4(self, x4_file, monkeypatch):
-        import jordanflow.cli as climod
+        import jordanflow.flags as flagsmod
 
         def broken(flag, component, filt):
             return 1.0  # defect never below sim_tol
 
-        monkeypatch.setattr(climod, "component_defect", broken)
+        monkeypatch.setattr(flagsmod, "component_defect", broken)
         code = main(["analyze", str(x4_file), "--flag", "1", "--simulate", "2"])
         assert code == 4
 
     def test_one_defect_per_start(self, tmp_path, monkeypatch):
-        import jordanflow.cli as climod
+        import jordanflow.flags as flagsmod
 
         calls = []
-        defect = climod.component_defect
+        defect = flagsmod.component_defect
         monkeypatch.setattr(
-            climod,
+            flagsmod,
             "component_defect",
             lambda *a: calls.append(1) or defect(*a),
         )
@@ -228,21 +228,44 @@ class TestAnalyze:
         assert sim["forward_matches"] == 3 and sim["reverse_matches"] == 3
 
     def test_worst_defect_is_distance_to_prediction(self, x4_file, tmp_path, monkeypatch):
-        import jordanflow.cli as climod
+        import jordanflow.flags as flagsmod
 
-        simulate = climod.simulate_flag
+        advance = flagsmod._advance
 
-        def backwards(dec, flag, ts):
+        def backwards(dec, basis, dt, cache, renorm):
             # every start runs backwards, so the forward end flag is the repeller
-            return simulate(dec, flag, [-abs(t) for t in ts])
+            return advance(dec, basis, -abs(dt), cache, renorm)
 
-        monkeypatch.setattr(climod, "simulate_flag", backwards)
+        monkeypatch.setattr(flagsmod, "_advance", backwards)
         out = tmp_path / "out.json"
         argv = ["analyze", str(x4_file), "--flag", "1", "--simulate", "2", "-o", str(out)]
         assert main(argv) == 4
         sim = json.loads(out.read_text())["simulation"]
         assert sim["forward_matches"] == 0 and sim["reverse_matches"] == 2
         assert sim["worst_defect"] >= 0.5
+
+    @pytest.mark.parametrize(
+        "time, builder, mat",
+        [
+            ("continuous", "matrix_exp", x4(1, 2)),
+            ("discrete", "_normalized_power", np.diag([math.e, 1.0, 1 / math.e])),
+        ],
+    )
+    def test_one_step_matrix_per_direction(self, tmp_path, monkeypatch, time, builder, mat):
+        """The starts share one step cache per direction: four starts, each
+        leg in equal substeps, build two step matrices in all."""
+        from jordanflow import projective
+
+        calls = []
+        build = getattr(projective, builder)
+        monkeypatch.setattr(projective, builder, lambda *a: calls.append(1) or build(*a))
+        f = write_matrix(tmp_path / "m.json", mat)
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(f), "--time", time, "--flag", "1", "--simulate", "4",
+                "--horizon", "28", "-o", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["simulation"]["forward_matches"] == 4
+        assert len(calls) == 2
 
     def test_sim_tol_half_exit_2(self, x4_file):
         argv = ["analyze", str(x4_file), "--flag", "1", "--sim-tol", "0.5"]
@@ -345,6 +368,58 @@ class TestAnalyzeRefusals:
         argv = ["analyze", str(x4_file), "--flag", "1,2", "-o", str(out), *extra]
         assert main(argv) == 2
         assert not out.exists()
+
+
+BAD_FLAG_DOCS = [
+    '{"dims": [1], "basis": [[NaN], [0.0], [1.0]]}',
+    '{"dims": [1], "basis": [[Infinity], [0.0], [1.0]]}',
+    '{"dims": [1], "basis": [[-Infinity], [0.0], [1.0]]}',
+    '{"dims": [true], "basis": [[0.0], [0.0], [1.0]]}',
+    '{"dims": [1.0], "basis": [[0.0], [0.0], [1.0]]}',
+]
+
+
+class TestAnalyzeInputsBeforeDecomposing:
+    """A bad --classify-flag file and a trajectory CSV beyond its row budget
+    are refused before anything is decomposed."""
+
+    @pytest.fixture
+    def no_decompose(self, monkeypatch, tmp_path):
+        import jordanflow.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("decomposed before refusing the input")
+
+        monkeypatch.setattr(cli, "_decompose", refuse)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "flag_doc",
+        [None, '{"dims": [2], "basis": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}', *BAD_FLAG_DOCS],
+    )
+    def test_classify_flag_exit_2(self, x4_file, tmp_path, capsys, no_decompose, flag_doc):
+        ff = tmp_path / "flag.json"
+        if flag_doc is not None:  # None: the file is missing
+            ff.write_text(flag_doc)
+        argv = ["analyze", str(x4_file), "--flag", "1", "--classify-flag", str(ff),
+                "--simulate", "1", "-o", "out.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("jordanflow: input error:")
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("time", ["continuous", "discrete"])
+    def test_trajectory_rows_exit_5(self, x4_file, tmp_path, capsys, no_decompose, time):
+        argv = ["analyze", str(x4_file), "--flag", "1", "--time", time, "-o", "out.json",
+                "--trajectory-out", "t.csv", "--horizon", str(SUBSTEP_BUDGET)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"jordanflow: input exceeds a stated budget: --horizon {SUBSTEP_BUDGET:g} "
+            f"needs more than {SUBSTEP_BUDGET} trajectory rows"
+        ]
+        assert not (tmp_path / "out.json").exists()
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestAnalyzeSeedHorizonRefusals:
@@ -753,6 +828,11 @@ class TestFloquetRefusals:
         f = tmp_path / "m.json"
         f.write_text(json.dumps({"n": 2, "rows": [[0, 10**400], [-1, 0]]}))
         assert main(["decompose", str(f)]) == 2
+
+    @pytest.mark.parametrize("flag", ["5", "2,1", "0", "x"])
+    def test_bad_flag_exit_2(self, tmp_path, monkeypatch, flag):
+        doc = {"T": 1.0, "A0": [[0.0, 1.0], [-1.0, 0.0]], "harmonics": []}
+        assert self.run(tmp_path, monkeypatch, doc, "--steps", "65536", "--flag", flag) == 2
 
     def test_huge_period_exit_1(self, tmp_path, capsys):
         """T = 1e308: the first RK4 step overflows, which the determinant

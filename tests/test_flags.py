@@ -32,7 +32,7 @@ from jordanflow.errors import IllConditioned, InvariantViolated, RankAmbiguous
 from jordanflow.flags import (
     RateFiltration,
     _cell_assignment,
-    _tables,
+    _census,
     component_defect,
     nearest_component,
     random_flag,
@@ -287,10 +287,11 @@ class TestTableOrder:
         cols = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
         # the brute force scans this many candidate tables
         assume(math.prod(min(r, c) + 1 for r in rows for c in cols) <= 20_000)
-        assert list(_tables(rows, cols)) == sorted(contingency_tables_bruteforce(rows, cols))
+        tables = _census(rows, cols, (0.0,) * len(cols))[0]
+        assert list(tables) == sorted(contingency_tables_bruteforce(rows, cols))
 
     def test_full_flag_n7_sorted(self):
-        tables = list(_tables([1] * 7, [1] * 7))
+        tables = list(_census([1] * 7, [1] * 7, (0.0,) * 7)[0])
         assert len(set(tables)) == len(tables) == 5040
         assert tables == sorted(tables)
 
@@ -618,6 +619,43 @@ class TestSimulateFlag:
         )
         simulate_flag(dec, f0, [1, 2, 5, -3])
         assert calls == []
+
+
+class TestSimulationCheck:
+    @pytest.mark.parametrize("mat", [x1(1, 2), x4(1, 2), x5(1.0)], ids=["x1", "x4", "x5"])
+    @pytest.mark.parametrize("dims", [(1,), (1, 2)])
+    def test_start_by_start_against_nearest_component(self, monkeypatch, mat, dims):
+        """Criterion 5's reference loop (``simulate_flag`` per start, every
+        component scored by ``nearest_component``) on the same seeded flags:
+        each leg ends on the same flag, nearest to the predicted component,
+        and ``simulation_check`` scores that component with the same defect."""
+        dec = additive_jordan(mat)
+        cls = classify_flow(dec, dims)
+        filt, comps = cls.filtration, cls.components
+        rng = np.random.default_rng(11)
+        want = []
+        for _ in range(10):
+            f0 = random_flag(3, dims, rng)
+            for cell, t in ((bruhat_cell, 25.0), (unstable_bruhat_cell, -25.0)):
+                end = simulate_flag(dec, f0, [t])[-1]
+                near, defect = nearest_component(end, comps, filt)
+                assert near == cell(f0, filt, dims, components=comps)
+                want.append((end.basis, comps[near], defect))
+
+        got = []
+        score = flags.component_defect
+        monkeypatch.setattr(
+            flags,
+            "component_defect",
+            lambda f, c, filt: got.append((f.basis, c, score(f, c, filt))) or got[-1][2],
+        )
+        forward, reverse, worst = flags.simulation_check(dec, cls, dims, 10, 11, 25.0)
+        assert len(got) == len(want) == 20
+        for (basis, comp, defect), (basis_ref, comp_ref, defect_ref) in zip(got, want):
+            assert np.array_equal(basis, basis_ref)
+            assert comp == comp_ref and defect == defect_ref
+        assert (forward, reverse) == (10, 10)
+        assert worst == max(d for *_, d in want) <= 1e-6
 
 
 class TestHeightLyapunov:

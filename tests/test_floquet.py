@@ -14,6 +14,7 @@ from jordanflow import (
     ProjectivePoint,
     StiffnessSuspected,
     additive_jordan,
+    classify_flow,
     enumerate_morse_components,
     floquet_data,
     floquet_generator,
@@ -231,7 +232,7 @@ class TestTabulatedIntegrator:
             (5, 4, 0.37, 1025),
         ],
     )
-    def test_bitwise_equal_to_step_by_step(self, n, harmonics, period, steps):
+    def test_agrees_with_step_by_step_within_1e_12(self, n, harmonics, period, steps):
         """Samples, derivatives and error estimate within 1e-12 of max |g| of
         the reference, det_drift within 1e-12; REFERENCE_OFF has the one
         shape with its own bars."""
@@ -540,6 +541,39 @@ class TestFloquetMorse:
         )
         assert len(fmd.components) == len(auto) == 3
         assert {c.assignment for c in fmd.components} == {c.assignment for c in auto}
+
+    @pytest.mark.parametrize(
+        "n,harmonics,steps",
+        [(2, 0, 1024), (2, 1, 2048), (2, None, 2048), (3, 0, 1024), (3, 2, 2048),
+         (3, 3, 2048), (3, None, 2048), (4, 1, 4096), (4, 3, 1024)],
+    )
+    def test_census_is_the_generator_classification(self, n, harmonics, steps):
+        """The benchmark's floquet shapes (``harmonics`` None: a rotation by pi
+        in the first plane, m = 2): the census is classify_flow on the
+        generator's decomposition, with the flag signature the benchmark
+        passes, and lists what the enumerator lists."""
+        rng = np.random.default_rng([23, n, steps])
+        if harmonics is None:
+            x0 = np.zeros((n, n))
+            x0[0, 1], x0[1, 0] = -math.pi, math.pi
+            x0[2:, 2:] += 0.4 * np.eye(n - 2)
+            x0[:2, :2] -= 0.2 * (n - 2) * np.eye(2)
+            coef = PeriodicCoefficient(1.0, x0, ((1, 0.4 * x0, np.zeros((n, n))),))
+        else:
+            coef = random_coefficient(rng, n, harmonics, 1.0)
+        fd = floquet_data(integrate_fundamental(coef, steps))
+        if harmonics is None:
+            assert fd.m == 2
+        dims = (1,) if n == 2 else (1, 2)
+        fmd = floquet_morse_components(fd, dims)
+        cls = classify_flow(fd.dec, dims)
+        assert fmd.components is fmd.classification.components
+        assert fmd.components == cls.components
+        assert list(fmd.components) == enumerate_morse_components(rate_filtration(fd.dec), dims)
+        for field in ("h_regular", "conformal", "attractor_index", "repeller_index",
+                      "eigen_rates", "rate_margin", "conformal_margin"):
+            assert getattr(fmd.classification, field) == getattr(cls, field), field
+        assert fmd.classification.filtration.rates == cls.filtration.rates
 
     def test_census_invariant_under_periodic_modulation(self):
         # same monodromy conjugacy class, different periodic dressing
