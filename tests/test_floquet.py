@@ -232,7 +232,7 @@ class TestTabulatedIntegrator:
             (5, 4, 0.37, 1025),
         ],
     )
-    def test_agrees_with_step_by_step_within_1e_12(self, n, harmonics, period, steps):
+    def test_bitwise_equal_to_step_by_step(self, n, harmonics, period, steps):
         """Samples, derivatives and error estimate within 1e-12 of max |g| of
         the reference, det_drift within 1e-12; REFERENCE_OFF has the one
         shape with its own bars."""
