@@ -50,13 +50,9 @@ from .jordan import (
 )
 from .projective import (
     ChainGraph,
-    ProjectiveMorseDecomposition,
     ProjectivePoint,
     chain_oracle,
-    chain_recurrent_membership,
-    morse_components_projective,
     projective_distance,
-    recurrent_membership,
     simulate_projective,
     unipotent_limit,
 )
@@ -66,6 +62,7 @@ from .flags import (
     FlagType,
     FlowClassification,
     bruhat_cell,
+    chain_recurrent_membership,
     classify_flow,
     component_dimensions,
     enumerate_morse_components,
@@ -73,6 +70,7 @@ from .flags import (
     height_lyapunov,
     plucker_embed,
     rate_filtration,
+    recurrent_membership,
     simulate_flag,
     stable_set_index,
     unstable_bruhat_cell,

@@ -31,6 +31,7 @@ from .flags import (
     bruhat_cell,
     classify_flow,
     flag_recurrent_membership,
+    rate_filtration,
     simulation_check,
     stable_set_index,
 )
@@ -47,7 +48,6 @@ from .projective import (
     SUBSTEP_BUDGET,
     ProjectivePoint,
     chain_oracle,
-    morse_components_projective,
     simulate_projective,
 )
 from .report import (
@@ -274,7 +274,6 @@ def _write_trajectory_csv(path, dec, filt, pol, seed, horizon, step):
     target = stable_set_index(p0, filt, pol)
     ts = np.arange(0.0, horizon + step / 2, step)
     traj = simulate_projective(dec, p0, ts)
-    md = morse_components_projective(dec, pol)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)] + ["dist_to_predicted"])
@@ -282,7 +281,7 @@ def _write_trajectory_csv(path, dec, filt, pol, seed, horizon, step):
             writer.writerow(
                 [f"{t:.17g}"]
                 + [f"{x:.17g}" for x in p.rep]
-                + [f"{md.distance_to_component(p, target):.17g}"]
+                + [f"{filt.distances(p.rep)[target, 0]:.17g}"]
             )
 
 
@@ -400,9 +399,8 @@ def cmd_chain_oracle(args):
         pol,
         leg_doublings=args.leg_doublings,
     )
-    md = morse_components_projective(dec, pol)
     member_tol = args.eps / 2.0
-    member = md.distances(graph.points).min(axis=0) <= member_tol
+    member = rate_filtration(dec, pol).distances(graph.points).min(axis=0) <= member_tol
     agreement = float(np.mean(member == graph.marked))
 
     report = {

@@ -32,7 +32,6 @@ from .projective import (
     _advance,
     _as_decomposition,
     _filtration,
-    _invariance_residual,
     _trajectory,
     rate_filtration,
 )
@@ -49,6 +48,8 @@ __all__ = [
     "unstable_bruhat_cell",
     "stable_set_index",
     "unstable_set_index",
+    "recurrent_membership",
+    "chain_recurrent_membership",
     "simulate_flag",
     "classify_flow",
     "flag_recurrent_membership",
@@ -415,12 +416,17 @@ def _cell_index(flag, dec, dims, pol, components, reverse):
     raise IllConditioned(f"rank pattern {table} matches no Morse component")
 
 
+def _line(p):
+    """The line [p] as a flag of signature (1)."""
+    return Flag(p.rep[:, None], (1,))
+
+
 def _line_index(p, dec, pol, reverse):
     """Rate index of the line [p]'s Bruhat cell as a flag of signature (1):
     the one block in the first row of its table."""
     pol = pol or DEFAULT_POLICY
     filt = dec if isinstance(dec, RateFiltration) else rate_filtration(dec, pol)
-    table, _ = _cell_assignment(Flag(p.rep[:, None], (1,)), filt, pol, reverse)
+    table, _ = _cell_assignment(_line(p), filt, pol, reverse)
     return table[0].index(1)
 
 
@@ -510,18 +516,66 @@ def simulation_check(dec, cls, dims, starts, seed, horizon, pol=None):
     return matches[0], matches[1], worst
 
 
+def _invariance_residual(m, b):
+    """||M B - B B^T M B|| / max(1, ||M||): how far the span of the
+    orthonormal columns of B is from being M-invariant."""
+    mb = m @ b
+    return opnorm(mb - b @ (b.T @ mb)) / max(1.0, opnorm(m))
+
+
+def _fixed(flag, dec, tol, chain=False):
+    """The recurrence rule: is the flag fixed by the hyperbolic Jordan factor
+    (H, or h in discrete time) and, unless ``chain``, by the unipotent one?
+
+    Every subspace must be invariant at ``tol`` under the factors, and the
+    compression M = B^T Z B of the nilpotent factor Z (N, or u - I) to the
+    subspace's orthonormal basis B nilpotent at ``tol``: |tr M^k| <=
+    tol * max(1, ||Z||)^k for k = 1..dim.  The invariance residual alone is
+    quadratic in the distance to the fixed set near a nilpotent direction (a
+    line at angle theta from ker N can have a residual of theta^2); the
+    traces are linear in it (tr M ~ theta).
+    """
+    b = flag.basis
+    factors = [dec.H if dec.continuous else dec.h]
+    if not chain:
+        nil = dec.N if dec.continuous else dec.u - np.eye(flag.n)
+        factors.append(nil)
+        scale = max(1.0, opnorm(nil))
+        m = b.T @ nil @ b
+    for d in flag.dims.dims:
+        if any(_invariance_residual(z, b[:, :d]) > tol for z in factors):
+            return False
+        if not chain:
+            power = np.eye(d)
+            for k in range(1, d + 1):
+                power = power @ m[:d, :d]
+                if abs(np.trace(power)) > tol * scale**k:
+                    return False
+    return True
+
+
 def flag_recurrent_membership(flag, dec, pol=None, tol=None):
-    """Is the flag recurrent?  Each subspace must be invariant under both the
-    hyperbolic and the unipotent Jordan factors."""
+    """Is the flag recurrent?  It must be fixed by the hyperbolic and the
+    unipotent Jordan factors (``_fixed``)."""
     pol = pol or DEFAULT_POLICY
-    dec = _as_decomposition(dec)
     tol = pol.residual_tol if tol is None else tol
-    mats = [dec.H, dec.N] if dec.continuous else [dec.h, dec.u]
-    return all(
-        _invariance_residual(m, flag.subspace(i)) <= tol
-        for i in range(len(flag.dims.dims))
-        for m in mats
-    )
+    return _fixed(flag, _as_decomposition(dec), tol)
+
+
+def recurrent_membership(p, dec, pol=None, tol=None):
+    """Is [p] recurrent?  ``flag_recurrent_membership`` of the line as a flag
+    of signature (1): in one eigenspace of the hyperbolic part and, at
+    ``tol``, in the kernel of the nilpotent part."""
+    return flag_recurrent_membership(_line(p), dec, pol, tol)
+
+
+def chain_recurrent_membership(p, dec, pol=None, tol=None):
+    """Is [p] chain recurrent?  True iff it is fixed by the hyperbolic factor,
+    i.e. sits in one of its eigenspaces (the unipotent factor is invisible to
+    chains)."""
+    pol = pol or DEFAULT_POLICY
+    tol = pol.residual_tol if tol is None else tol
+    return _fixed(_line(p), _as_decomposition(dec), tol, chain=True)
 
 
 def simulate_flag(dec, flag, t_grid):

@@ -18,13 +18,14 @@ from .errors import GridTooLarge, InputError, NoRealLog, StiffnessSuspected
 from .flags import (
     Flag,
     _cell_assignment,
+    _fixed,
     _orthonormalize,
     classify_flow,
     height_lyapunov,
 )
 from .jordan import additive_jordan, multiplicative_jordan
 from .matrixcore import DEFAULT_POLICY, as_square_matrix, matrix_exp, opnorm
-from .projective import ProjectivePoint, _invariance_residual
+from .projective import ProjectivePoint
 
 __all__ = [
     "PeriodicCoefficient",
@@ -411,11 +412,7 @@ class FloquetMorseDecomposition:
         pol = pol or DEFAULT_POLICY
         tol = pol.sim_tol if tol is None else tol
         z = _pull_back(self.data, s, flag)
-        hmat = self.data.dec.H
-        if any(
-            _invariance_residual(hmat, z.subspace(i)) > tol
-            for i in range(len(z.dims.dims))
-        ):
+        if not _fixed(z, self.data.dec, tol, chain=True):
             return False
         table, _ = _cell_assignment(z, self.classification.filtration, pol)
         return table == self.components[index].assignment

@@ -1,15 +1,18 @@
 """Dynamics of linear flows on real projective space.
 
-The hyperbolic Jordan factor sorts the space into finitely many projective
-eigenspaces; those are the finest Morse decomposition.  This module builds
-the rate frame and the components, evaluates unipotent limits, decides
-recurrence and chain recurrence, simulates trajectories with mandatory
-renormalization, and runs a brute-force (eps, T)-chain oracle on a grid for
-cross-checking.  Stable and unstable sets are Bruhat cells (``flags``).
+Projective space is the flag manifold of signature (1): its Morse
+components, stable and unstable sets and recurrence are those of ``flags``
+read for a line.  This module holds what is particular to points: the
+points themselves, the rate frame (the hyperbolic Jordan factor's
+eigenvalue clusters grouped by rate, whose blocks span the projective
+eigenspaces, the finest Morse decomposition), unipotent limits, simulation
+with mandatory renormalization, and a brute-force (eps, T)-chain oracle on
+a grid for cross-checking.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,14 +33,9 @@ from .matrixcore import (
 __all__ = [
     "ProjectivePoint",
     "projective_distance",
-    "RateComponent",
-    "ProjectiveMorseDecomposition",
     "RateFiltration",
     "rate_filtration",
-    "morse_components_projective",
     "unipotent_limit",
-    "recurrent_membership",
-    "chain_recurrent_membership",
     "simulate_projective",
     "ChainGraph",
     "chain_oracle",
@@ -134,52 +132,8 @@ def projective_distance(p, q, metric=None):
 
 
 # ---------------------------------------------------------------------------
-# Morse components from the hyperbolic part
+# the rate frame
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RateComponent:
-    """One projective Morse component: the eigenspace of the hyperbolic part
-    for one exponential rate.
-
-    ``value`` is the eigenvalue of h (discrete time: modulus) or H
-    (continuous time: real part); ``rate`` is the common exponential rate
-    (log value for discrete time, the value itself for continuous).
-    ``basis`` is an orthonormal basis of the eigenspace.
-    """
-
-    value: float
-    rate: float
-    multiplicity: int
-    basis: np.ndarray
-
-
-@dataclass(frozen=True)
-class ProjectiveMorseDecomposition:
-    """Ordered (decreasing rate) projective eigenspaces of the hyperbolic part."""
-
-    components: tuple
-
-    @property
-    def attractor_index(self):
-        return 0
-
-    @property
-    def repeller_index(self):
-        return len(self.components) - 1
-
-    def distances(self, points):
-        """Chordal distances (components x points) from unit row points."""
-        pts = np.atleast_2d(points)
-        inside = np.stack(
-            [np.linalg.norm(pts @ c.basis, axis=1) for c in self.components]
-        )
-        return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * inside))
-
-    def distance_to_component(self, p, i):
-        """Chordal distance from a point to the i-th projective eigenspace."""
-        return float(self.distances(p.rep)[i, 0])
-
 
 @dataclass(frozen=True)
 class RateFiltration:
@@ -187,7 +141,9 @@ class RateFiltration:
 
     ``transform`` stacks (generally oblique) cluster bases in rate order;
     coordinates in this frame make the fast filtration a coordinate
-    filtration, which turns Bruhat-cell membership into rank counting.
+    filtration, which turns Bruhat-cell membership into rank counting.  The
+    projective eigenspaces of the blocks are the finest Morse decomposition
+    on P(R^n): the first is the attractor, the last the repeller.
     """
 
     rates: tuple
@@ -208,6 +164,21 @@ class RateFiltration:
     def row_starts(self):
         return np.cumsum((0, *self.mults)).tolist()
 
+    @functools.cached_property
+    def eigenspaces(self):
+        """An orthonormal basis of each block's (possibly oblique) span."""
+        return tuple(
+            np.linalg.svd(block, full_matrices=False)[0][:, :mult]
+            for block, mult in zip(self.blocks, self.mults)
+        )
+
+    def distances(self, points):
+        """Chordal distances (blocks x points) from unit row points to the
+        blocks' projective eigenspaces."""
+        pts = np.atleast_2d(points)
+        inside = np.stack([np.linalg.norm(pts @ e, axis=1) for e in self.eigenspaces])
+        return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * inside))
+
 
 def _cluster_rates(spectral, continuous):
     """Exponential rate of each spectral cluster: the real part in continuous
@@ -223,6 +194,7 @@ def _filtration(spectral, continuous, pol):
 
     Rates merge under the same relative rule as eigenvalues do; coincident
     moduli of distinct eigenvalue clusters (e.g. 2 and -2) land in one group.
+    ``InvariantViolated`` if the multiplicities do not sum to n.
     """
     items = list(zip(_cluster_rates(spectral, continuous), spectral.clusters))
     items.sort(key=lambda rc: -rc[0])
@@ -236,9 +208,12 @@ def _filtration(spectral, continuous, pol):
         else:
             groups.append(([rate], [c]))
     blocks = tuple(np.hstack([c.basis for c in cs]) for _, cs in groups)
+    mults = tuple(sum(c.multiplicity for c in cs) for _, cs in groups)
+    if sum(mults) != spectral.n:
+        raise InvariantViolated("the rate frame's multiplicities do not sum to n")
     return RateFiltration(
         rates=tuple(_rate_mean(rates) for rates, _ in groups),
-        mults=tuple(sum(c.multiplicity for c in cs) for _, cs in groups),
+        mults=mults,
         blocks=blocks,
         transform=np.hstack(blocks),
         continuous=continuous,
@@ -265,32 +240,6 @@ def rate_filtration(dec, pol=None):
     return _filtration(dec.spectral, dec.continuous, pol or DEFAULT_POLICY)
 
 
-def morse_components_projective(dec, pol=None):
-    """The finest Morse decomposition of the induced flow on P(R^n).
-
-    Components are the rate frame's blocks: the projective eigenspaces of the
-    hyperbolic Jordan factor, by decreasing rate; the first is the attractor,
-    the last the repeller, and their union is the chain recurrent set.
-    """
-    dec = _as_decomposition(dec)
-    filt = _filtration(dec.spectral, dec.continuous, pol or DEFAULT_POLICY)
-    md = ProjectiveMorseDecomposition(
-        components=tuple(
-            RateComponent(
-                value=rate if filt.continuous else math.exp(rate),
-                rate=rate,
-                multiplicity=mult,
-                # orthonormal basis of the (possibly oblique) sum of cluster ranges
-                basis=np.linalg.svd(block, full_matrices=False)[0][:, :mult],
-            )
-            for rate, mult, block in zip(filt.rates, filt.mults, filt.blocks)
-        )
-    )
-    if sum(c.multiplicity for c in md.components) != dec.spectral.n:
-        raise InvariantViolated("the Morse components' multiplicities do not sum to n")
-    return md
-
-
 def unipotent_limit(p, n_mat, pol=None):
     """Two-sided limit of exp(tN)[x]: the class [N^k x] for the last k with
     N^k x != 0.  The returned point is fixed by the unipotent flow."""
@@ -307,36 +256,6 @@ def unipotent_limit(p, n_mat, pol=None):
             break
         best = power
     return ProjectivePoint(best)
-
-
-def _invariance_residual(m, b):
-    """||M B - B B^T M B|| / max(1, ||M||): how far the span of the
-    orthonormal columns of B is from being M-invariant."""
-    mb = m @ b
-    return opnorm(mb - b @ (b.T @ mb)) / max(1.0, opnorm(m))
-
-
-def recurrent_membership(p, dec, pol=None, tol=None):
-    """Is [p] recurrent?  Requires the representative to sit in a single
-    eigenspace of the hyperbolic part and be fixed by the unipotent part."""
-    pol = pol or DEFAULT_POLICY
-    dec = _as_decomposition(dec)
-    tol = pol.residual_tol if tol is None else tol
-    if not chain_recurrent_membership(p, dec, pol, tol):
-        return False
-    if dec.continuous:
-        return bool(np.linalg.norm(dec.N @ p.rep) <= tol * max(1.0, opnorm(dec.N)))
-    return _invariance_residual(dec.u, p.rep[:, None]) <= tol
-
-
-def chain_recurrent_membership(p, dec, pol=None, tol=None):
-    """Is [p] chain recurrent?  True iff it sits in a single eigenspace of
-    the hyperbolic part (the unipotent factor is invisible to chains)."""
-    pol = pol or DEFAULT_POLICY
-    dec = _as_decomposition(dec)
-    tol = pol.residual_tol if tol is None else tol
-    hyper = dec.H if dec.continuous else dec.h
-    return _invariance_residual(hyper, p.rep[:, None]) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,24 @@ def unstable_set_index_reference(p, dec, pol=None):
     return 0
 
 
+def recurrent_membership_reference(p, dec, pol=None, tol=None):
+    """Is [p] recurrent?  The point test, linear in the distance to the
+    recurrent set: the representative x spans an invariant line of the
+    hyperbolic factor, ||H x - x x^T H x|| <= tol * max(1, ||H||), and
+    |N x| <= tol * max(1, ||N||); h and u - I in discrete time."""
+    pol = pol or DEFAULT_POLICY
+    tol = pol.residual_tol if tol is None else tol
+    if dec.continuous:
+        hyper, nil = dec.H, dec.N
+    else:
+        hyper, nil = dec.h, dec.u - np.eye(len(p.rep))
+    x = p.rep
+    hx = hyper @ x
+    moved = np.linalg.norm(hx - x * (x @ hx)) / max(1.0, np.linalg.norm(hyper, 2))
+    kernel = np.linalg.norm(nil @ x) / max(1.0, np.linalg.norm(nil, 2))
+    return bool(moved <= tol and kernel <= tol)
+
+
 def height_lyapunov_reference(flag, h_matrix, pol=None):
     """``flags.height_lyapunov`` with its own frame, as it was before it
     built through the rate filtration: clusters sorted by real part, their

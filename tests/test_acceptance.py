@@ -30,7 +30,6 @@ from jordanflow import (
     height_lyapunov,
     integrate_fundamental,
     matrix_exp,
-    morse_components_projective,
     multiplicative_jordan,
     periodic_factor,
     projective_distance,
@@ -267,12 +266,8 @@ def test_criterion_08_chain_oracle_convergence():
     # P^2, X5: agreement with fix(h^t) membership at resolution 4000
     dec5 = additive_jordan(x5(1.0), POL)
     cg3 = chain_oracle(dec5, 4000, 0.08, 1.0, POL)
-    md = morse_components_projective(dec5, POL)
     member_tol = cg3.eps / 2
-    inside = np.stack(
-        [np.linalg.norm(cg3.points @ c.basis, axis=1) for c in md.components]
-    )
-    dist = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * inside))
+    dist = rate_filtration(dec5, POL).distances(cg3.points)
     member = dist.min(axis=0) <= member_tol
     agreement = float(np.mean(member == cg3.marked))
     assert agreement >= 0.95

@@ -300,6 +300,22 @@ class TestAnalyze:
         assert rep["flag_classification"]["reorthonormalized"]
         assert any("re-orthonormalized" in w for w in rep["warnings"])
 
+    @pytest.mark.parametrize("theta, recurrent", [(0.0, True), (1e-6, False)])
+    def test_classify_flag_near_the_nilpotent_kernel(self, x5_file, tmp_path, theta, recurrent):
+        """A line 1e-6 rad from e1 toward e2, which X5's nilpotent part maps
+        to e1, is not recurrent: |N x| = 1e-6, far above residual_tol, though
+        the invariance residual of N is only ~1e-12."""
+        flag_doc = {"dims": [1], "basis": [[math.cos(theta)], [math.sin(theta)], [0.0]]}
+        ff = tmp_path / "flag.json"
+        ff.write_text(json.dumps(flag_doc))
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(x5_file), "--flag", "1", "--classify-flag", str(ff), "-o", str(out)]
+        assert main(argv) == 0
+        rep = json.loads(out.read_text())
+        fc = rep["flag_classification"]
+        assert fc["recurrent"] is recurrent
+        assert fc["cell_index"] == rep["classification"]["repeller_index"]
+
     def test_classify_flag_dims_mismatch_exit_2(self, x4_file, tmp_path):
         flag_doc = {"dims": [2], "basis": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
         ff = tmp_path / "flag.json"

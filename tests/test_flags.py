@@ -17,7 +17,6 @@ from jordanflow import (
     flag_recurrent_membership,
     height_lyapunov,
     matrix_exp,
-    morse_components_projective,
     multiplicative_jordan,
     plucker_embed,
     rate_filtration,
@@ -430,7 +429,7 @@ class TestBruhatCell:
         filt = rate_filtration(dec, pol)
         comps = enumerate_morse_components(filt, (2,), pol)
         wdec = additive_jordan(wedge_infinitesimal(x, 2), pol)
-        wmd = morse_components_projective(wdec, pol)
+        wfilt = rate_filtration(wdec, pol)
         rng = np.random.default_rng(7)
         for _ in range(25):
             f = random_flag(4, (2,), rng)
@@ -441,7 +440,7 @@ class TestBruhatCell:
                 filt.rates[j] * table[0][j] for j in range(len(filt.rates))
             )
             widx = stable_set_index(plucker_embed(f), wdec, pol)
-            assert wmd.components[widx].rate == pytest.approx(predicted_rate, abs=1e-9)
+            assert wfilt.rates[widx] == pytest.approx(predicted_rate, abs=1e-9)
 
 
 def _repeated_rate_dec(rng, discrete):
@@ -601,6 +600,28 @@ class TestFlagRecurrence:
         for _ in range(10):
             f = random_flag(3, (1, 2), rng)
             assert flag_recurrent_membership(f, dec)
+
+    @pytest.mark.parametrize("dims", [(2,), (1, 2)])
+    def test_x5_plane_near_a_nilpotent_direction(self, dims):
+        """span(e3, e1 + theta e2) is H-invariant, and N moves it by only
+        ~theta^2, but N's compression to it has trace ~theta: it is
+        recurrent at theta = 0 and not at 1e-6."""
+        dec = additive_jordan(x5(1.0))
+        for theta, truth in ((0.0, True), (1e-6, False)):
+            b = np.stack([E3, (E1 + theta * E2) / math.hypot(1.0, theta)], axis=1)
+            assert flags._invariance_residual(dec.N, b) < 1e-9
+            assert flag_recurrent_membership(Flag(b, dims), dec) == truth
+
+    @pytest.mark.parametrize("phi", [0.3, 0.7, 1.0, 1.3, 2.0])
+    def test_fixed_plane_in_a_rotated_basis(self, phi):
+        """span(e1, e2) is fixed by X5, whose N maps e2 to e1.  In a basis
+        rotated by phi inside the plane, N's compression is a 2 x 2 Jordan
+        block up to rounding, whose eigenvalues move to ~5e-9, above
+        residual_tol; the traces of its powers stay ~1e-17."""
+        dec = additive_jordan(x5(1.0))
+        c, s = math.cos(phi), math.sin(phi)
+        b = np.stack([c * E1 + s * E2, c * E2 - s * E1], axis=1)
+        assert flag_recurrent_membership(Flag(b, (2,)), dec)
 
 
 class TestSimulateFlag:

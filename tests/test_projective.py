@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from jordanflow import (
+    Flag,
     GridTooLarge,
     IllConditioned,
     InputError,
@@ -20,9 +21,9 @@ from jordanflow import (
     additive_jordan,
     chain_oracle,
     chain_recurrent_membership,
+    flag_recurrent_membership,
     invariant_metric,
     matrix_exp,
-    morse_components_projective,
     multiplicative_jordan,
     projective_distance,
     rate_filtration,
@@ -118,43 +119,59 @@ class TestProjectiveDistance:
 
 
 class TestMorseComponents:
+    """The projective Morse components are the rate frame's blocks, by
+    decreasing rate: the first is the attractor, the last the repeller."""
+
     def test_x4_attractor_repeller(self):
-        md = morse_components_projective(additive_jordan(x4(1, 2)))
-        assert len(md.components) == 2
-        att = md.components[md.attractor_index]
-        rep = md.components[md.repeller_index]
-        assert att.value == pytest.approx(2.0) and att.multiplicity == 1
-        assert rep.value == pytest.approx(-1.0) and rep.multiplicity == 2
-        assert md.distance_to_component(ProjectivePoint(E3), 0) < 1e-12
+        filt = rate_filtration(additive_jordan(x4(1, 2)))
+        assert len(filt.mults) == 2
+        assert filt.rates[0] == pytest.approx(2.0) and filt.mults[0] == 1
+        assert filt.rates[-1] == pytest.approx(-1.0) and filt.mults[-1] == 2
+        assert filt.distances(ProjectivePoint(E3).rep)[0, 0] < 1e-12
 
     def test_unipotent_single_component(self):
         g = np.array([[1.0, 1], [0, 1]])
-        md = morse_components_projective(multiplicative_jordan(g))
-        assert len(md.components) == 1
-        assert md.components[0].multiplicity == 2
+        filt = rate_filtration(multiplicative_jordan(g))
+        assert len(filt.mults) == 1
+        assert filt.mults[0] == 2
 
     def test_distinct_moduli_point_components(self):
-        md = morse_components_projective(multiplicative_jordan(np.diag([3.0, 2.0, 1.0])))
-        assert [c.multiplicity for c in md.components] == [1, 1, 1]
-        assert [round(c.value, 9) for c in md.components] == [3.0, 2.0, 1.0]
+        filt = rate_filtration(multiplicative_jordan(np.diag([3.0, 2.0, 1.0])))
+        assert list(filt.mults) == [1, 1, 1]
+        assert [round(math.exp(r), 9) for r in filt.rates] == [3.0, 2.0, 1.0]
 
-    def test_multiplicities_must_sum_to_n(self, monkeypatch):
+    def test_multiplicities_must_sum_to_n(self):
         """A rate frame whose multiplicities miss n is refused."""
-        frame = projective._filtration
-
-        def planted(*args):
-            filt = frame(*args)
-            return dataclasses.replace(filt, mults=(*filt.mults[:-1], filt.mults[-1] + 1))
-
         dec = additive_jordan(x4(1, 2))
-        assert len(morse_components_projective(dec).components) == 2
-        monkeypatch.setattr(projective, "_filtration", planted)
+        assert len(rate_filtration(dec).mults) == 2
+        last = dec.spectral.clusters[-1]
+        clusters = (
+            *dec.spectral.clusters[:-1],
+            dataclasses.replace(last, multiplicity=last.multiplicity + 1),
+        )
+        planted = dataclasses.replace(
+            dec, spectral=dataclasses.replace(dec.spectral, clusters=clusters)
+        )
         with pytest.raises(InvariantViolated):
-            morse_components_projective(dec)
+            rate_filtration(planted)
 
     def test_moduli_clusters_join_opposite_signs(self):
-        md = morse_components_projective(multiplicative_jordan(np.diag([2.0, -2.0, 0.25])))
-        assert [c.multiplicity for c in md.components] == [2, 1]
+        filt = rate_filtration(multiplicative_jordan(np.diag([2.0, -2.0, 0.25])))
+        assert list(filt.mults) == [2, 1]
+
+    def test_distances_from_the_eigenspaces(self, rng):
+        """The chordal distance to each block is the one computed from an
+        orthonormal basis of the block's span."""
+        filt = rate_filtration(additive_jordan(x5(1.0)))
+        pts = np.array([ProjectivePoint(rng.normal(size=3)).rep for _ in range(8)])
+        dists = filt.distances(pts)
+        assert dists.shape == (len(filt.mults), 8)
+        for i, block in enumerate(filt.blocks):
+            q = np.linalg.qr(block)[0]
+            for j, x in enumerate(pts):
+                assert dists[i, j] == pytest.approx(
+                    math.sqrt(max(0.0, 2.0 - 2.0 * np.linalg.norm(q.T @ x))), abs=1e-12
+                )
 
 
 class TestRateMean:
@@ -191,18 +208,18 @@ class TestStableSetIndex:
         dec = additive_jordan(x5(1.0))
         p = ProjectivePoint(E1 + E3)
         idx = stable_set_index(p, dec, pol)
-        md = morse_components_projective(dec, pol)
+        filt = rate_filtration(dec, pol)
         # derived oracle: simulate and compare
         end = simulate_projective(dec, p, [25.0])[-1]
-        dists = [md.distance_to_component(end, i) for i in range(len(md.components))]
+        dists = list(filt.distances(end.rep)[:, 0])
         assert int(np.argmin(dists)) == idx
         assert dists[idx] < pol.sim_tol
 
     def test_x4_repeller_complement_logic(self):
         dec = additive_jordan(x4(1, 2))
         p = ProjectivePoint(E1 + E2)
-        md = morse_components_projective(dec)
-        assert stable_set_index(p, dec) == md.repeller_index
+        filt = rate_filtration(dec)
+        assert stable_set_index(p, dec) == len(filt.mults) - 1
 
     def test_unstable_is_last_nonzero(self):
         dec = additive_jordan(x5(1.0))
@@ -244,17 +261,15 @@ class TestSetIndexReference:
                 dec = _line_flow(rng)
             except IllConditioned:
                 continue
-            md = morse_components_projective(dec, pol)
             filt = rate_filtration(dec, pol)
-            k = len(md.components)
+            k = len(filt.mults)
             for j in range(20):
                 if j % 2:
                     v = rng.normal(size=dec.spectral.n)
                 else:  # a point inside a sum of eigenspaces
                     pick = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
                     v = sum(
-                        md.components[i].basis @ rng.normal(size=md.components[i].multiplicity)
-                        for i in pick
+                        filt.eigenspaces[i] @ rng.normal(size=filt.mults[i]) for i in pick
                     )
                 p = ProjectivePoint(v)
                 frame = dec if j < 2 else filt
@@ -348,6 +363,27 @@ class TestRecurrence:
         assert not recurrent_membership(p, dec)
         assert not chain_recurrent_membership(ProjectivePoint(E1 + E3), dec)
 
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_lines_near_a_nilpotent_direction(self, discrete):
+        """The line (cos theta, sin theta, 0), where the nilpotent factor (N,
+        or u - I) maps e2 to e1: the point test, the line as a flag of
+        signature (1) and the linear reference agree at every theta, False
+        through 1e-8 and True at 1e-10.  The invariance residual of the
+        nilpotent factor alone is ~theta^2 there."""
+        if discrete:
+            u = np.array([[1.0, 1, 0], [0, 1, 0], [0, 0, 1]])
+            dec = multiplicative_jordan(u @ np.diag([0.5, 0.5, 4.0]))
+        else:
+            dec = additive_jordan(x5(1.0))
+        sweep = [(1e-3, False), (3e-5, False), (1e-5, False), (1e-6, False),
+                 (1e-8, False), (1e-10, True)]
+        for theta, truth in sweep:
+            p = ProjectivePoint([math.cos(theta), math.sin(theta), 0.0])
+            assert recurrent_membership(p, dec) == truth
+            assert flag_recurrent_membership(Flag(p.rep[:, None], (1,)), dec) == truth
+            assert oracles.recurrent_membership_reference(p, dec) == truth
+            assert chain_recurrent_membership(p, dec)
+
     def test_recurrent_subset_chain_recurrent(self, rng, pol):
         systems = [additive_jordan(m) for m in (x4(1, 2), x5(1.0), x2())]
         pts = [ProjectivePoint(rng.normal(size=3)) for _ in range(30)]
@@ -367,25 +403,25 @@ class TestSimulate:
 
     def test_x4_convergence_to_attractor(self):
         dec = additive_jordan(x4(1, 2))
-        md = morse_components_projective(dec)
+        filt = rate_filtration(dec)
         end = simulate_projective(dec, ProjectivePoint(E1 + E2 + E3), [20.0])[-1]
-        assert md.distance_to_component(end, md.attractor_index) < 1e-6
+        assert filt.distances(end.rep)[0, 0] < 1e-6
 
     def test_reverse_time_goes_to_repeller(self):
         dec = additive_jordan(x4(1, 2))
-        md = morse_components_projective(dec)
+        filt = rate_filtration(dec)
         end = simulate_projective(dec, ProjectivePoint(E1 + E2 + E3), [-20.0])[-1]
-        assert md.distance_to_component(end, md.repeller_index) < 1e-6
+        assert filt.distances(end.rep)[-1, 0] < 1e-6
 
     def test_morse_axioms_sampled(self, rng, pol):
         # invariance + omega/alpha limits inside the predicted components
         for mat in (x4(1, 2), x5(1.0), x1_like(rng)):
             dec = additive_jordan(mat, pol)
-            md = morse_components_projective(dec, pol)
+            filt = rate_filtration(dec, pol)
             g1, *_ = matrix_and_factors(dec)
-            for c in md.components:
-                img = g1 @ c.basis
-                resid = img - c.basis @ (c.basis.T @ img)
+            for basis in filt.eigenspaces:
+                img = g1 @ basis
+                resid = img - basis @ (basis.T @ img)
                 assert np.linalg.norm(resid) < 1e-8 * max(1, np.linalg.norm(img))
             for _ in range(200):
                 p = ProjectivePoint(rng.normal(size=3))
@@ -393,8 +429,8 @@ class TestSimulate:
                 i_bwd = unstable_set_index(p, dec, pol)
                 end_f = simulate_projective(dec, p, [30.0])[-1]
                 end_b = simulate_projective(dec, p, [-30.0])[-1]
-                assert md.distance_to_component(end_f, i_fwd) < pol.sim_tol
-                assert md.distance_to_component(end_b, i_bwd) < pol.sim_tol
+                assert filt.distances(end_f.rep)[i_fwd, 0] < pol.sim_tol
+                assert filt.distances(end_b.rep)[i_bwd, 0] < pol.sim_tol
 
     def test_decay_lemma(self, rng):
         # spectral radius < 1 forces |g^t| -> 0; the horizon for a 1e-6 drop
@@ -462,14 +498,12 @@ class TestChainOracle:
     def test_x5_agreement_with_membership(self, pol):
         dec = additive_jordan(x5(1.0), pol)
         cg = chain_oracle(dec, 800, 0.08, 1.0, pol)
-        md = morse_components_projective(dec, pol)
+        filt = rate_filtration(dec, pol)
         member_tol = cg.eps / 2
         agree = 0
         for v, marked in zip(cg.points, cg.marked):
             p = ProjectivePoint(v)
-            dist = min(
-                md.distance_to_component(p, i) for i in range(len(md.components))
-            )
+            dist = filt.distances(p.rep)[:, 0].min()
             if (dist <= member_tol) == bool(marked):
                 agree += 1
         assert agree / len(cg.points) >= 0.95
