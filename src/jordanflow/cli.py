@@ -137,8 +137,11 @@ def parse_periodic_input(path):
     if not 2 <= n <= 12:
         raise InputError(f"periodic input dimension n={n} outside 2..12")
     a0 = _require_number_rows(a0, n, "A0")
+    items = doc.get("harmonics", [])
+    if not isinstance(items, list):
+        raise InputError(f"harmonics must be a list, got {items!r}")
     harmonics = []
-    for item in doc.get("harmonics", []):
+    for item in items:
         if not isinstance(item, dict) or not {"k", "A", "B"} <= set(item):
             raise InputError('each harmonic needs {"k": ..., "A": [[...]], "B": [[...]]}')
         k = item["k"]
@@ -320,6 +323,12 @@ def cmd_analyze(args):
             "the threshold; the stability verdict sits near the "
             "discretization boundary"
         )
+    if cls.pair_margin < 10.0:
+        warnings.append(
+            f"conjugate-pair margin {cls.pair_margin:.3g} is within 10x of the "
+            "threshold; the split between the elliptic and the nilpotent "
+            "part sits near the discretization boundary"
+        )
 
     simulation = None
     if args.simulate:
@@ -361,12 +370,9 @@ def cmd_analyze(args):
         "classification": {
             "h_regular": cls.h_regular,
             "conformal": cls.conformal,
-            "structurally_stable": cls.structurally_stable,
             "rate_margin": cls.rate_margin if np.isfinite(cls.rate_margin) else 1e308,
             "conformal_margin": cls.conformal_margin,
             "eigen_rates": list(cls.eigen_rates),
-            "attractor_index": cls.attractor_index + 1,
-            "repeller_index": cls.repeller_index + 1,
         },
         "components": components_table(cls.components),
         "flag_classification": flag_classification,
@@ -441,9 +447,11 @@ def cmd_floquet(args):
         for t in samples
     )
 
-    components = None
+    components = eigen_rates = None
     if dims is not None:
-        components = components_table(floquet_morse_components(fd, dims, pol).components)
+        cls = floquet_morse_components(fd, dims, pol).classification
+        components = components_table(cls.components)
+        eigen_rates = list(cls.eigen_rates)
 
     report = {
         **_header(args, input_echo, pol),
@@ -463,6 +471,7 @@ def cmd_floquet(args):
             "det_drift": fund.det_drift,
             "integration_error": fund.error_estimate,
         },
+        "eigen_rates": eigen_rates,
         "components": components,
         "warnings": [],
     }

@@ -96,19 +96,10 @@ class FlagType:
 
     def increments(self, n):
         """Block sizes delta_i, the residual block included."""
-        prev = 0
-        out = []
-        for d in self.dims:
-            out.append(d - prev)
-            prev = d
-        out.append(n - prev)
-        return tuple(out)
+        return tuple(map(sub, (*self.dims, n), (0, *self.dims)))
 
     def manifold_dimension(self, n):
-        inc = self.increments(n)
-        return sum(
-            inc[i] * inc[j] for i in range(len(inc)) for j in range(i + 1, len(inc))
-        )
+        return sum(a * b for a, b in itertools.combinations(self.increments(n), 2))
 
 
 def _orthonormalize(b):
@@ -211,17 +202,21 @@ class FlagMorseComponent:
     """
 
     assignment: tuple
-    rates: tuple
-    increments: tuple
     dim_component: int
     dim_unstable: int
     dim_stable: int
-    is_attractor: bool
-    is_repeller: bool
 
     @property
     def n_w(self):
         return self.dim_unstable
+
+    @property
+    def is_attractor(self):
+        return self.dim_unstable == 0
+
+    @property
+    def is_repeller(self):
+        return self.dim_stable == 0
 
 
 def _faster_slots(rates):
@@ -332,19 +327,14 @@ def enumerate_morse_components(filt, dims, pol=None):
     if not isinstance(dims, FlagType):
         dims = FlagType(tuple(dims))
     dims.validate_for(filt.n)
-    increments = dims.increments(filt.n)
-    rates = filt.rates
-    census = _census(increments, filt.mults, rates)
+    census = _census(dims.increments(filt.n), filt.mults, filt.rates)
     total = dims.manifold_dimension(filt.n)
     if any(c + u + s != total for c, u, s in zip(*census[1:])):
         raise InvariantViolated(
             f"a Morse component's dimensions do not sum to the manifold "
             f"dimension {total}"
         )
-    return [
-        FlagMorseComponent(table, rates, increments, c, u, s, u == 0, s == 0)
-        for table, c, u, s in zip(*census)
-    ]
+    return [FlagMorseComponent(*component) for component in zip(*census)]
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +590,9 @@ class FlowClassification:
     conformal: bool
     structurally_stable: bool
     components: tuple
-    attractor_index: int
-    repeller_index: int
     eigen_rates: tuple
     rate_margin: float
+    pair_margin: float
     conformal_margin: float
     filtration: RateFiltration
 
@@ -616,7 +605,10 @@ def classify_flow(dec, dims, pol=None):
     structural stability; conformal means the nilpotent/unipotent Jordan part
     vanishes at tolerance.  ``rate_margin`` is the smallest inter-cluster
     rate gap divided by the clustering threshold: values near 1 mean the
-    verdict sits at the discretization boundary.
+    verdict sits at the discretization boundary.  ``pair_margin`` does the
+    same for the pair test: over the clusters with a non-real member, mean
+    |Im| against cluster_tol * max(1, |lambda|), larger over smaller (a
+    defective eigenvalue split by rounding reads as a pair near 1).
     """
     pol = pol or DEFAULT_POLICY
     filt = rate_filtration(dec, pol)
@@ -638,10 +630,15 @@ def classify_flow(dec, dims, pol=None):
     for r1, r2 in zip(filt.rates, filt.rates[1:]):
         gap = abs(r1 - r2) / (pol.cluster_tol * max(1.0, abs(r1), abs(r2)))
         rate_margin = min(rate_margin, gap)
+    pair_margin = math.inf
+    for c in dec.spectral.clusters:
+        w = np.asarray(c.members)
+        if w.imag.any():
+            im = float(np.mean(np.abs(w.imag)))
+            ratio = im / (pol.cluster_tol * max(1.0, abs(complex(np.mean(w.real), im))))
+            pair_margin = min(pair_margin, max(ratio, 1.0 / ratio))
 
     components = enumerate_morse_components(filt, dims, pol)
-    attractor = next(i for i, c in enumerate(components) if c.is_attractor)
-    repeller = next(i for i, c in enumerate(components) if c.is_repeller)
     if not h_regular and all(c.dim_component == 0 for c in components):
         raise InvariantViolated(
             "a non-regular flow has no positive-dimensional Morse component"
@@ -652,10 +649,9 @@ def classify_flow(dec, dims, pol=None):
         conformal=conformal,
         structurally_stable=h_regular,
         components=tuple(components),
-        attractor_index=attractor,
-        repeller_index=repeller,
         eigen_rates=tuple(filt.row_rates.tolist()),
         rate_margin=float(rate_margin),
+        pair_margin=float(pair_margin),
         conformal_margin=float(conformal_margin),
         filtration=filt,
     )

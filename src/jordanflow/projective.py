@@ -150,7 +150,6 @@ class RateFiltration:
     mults: tuple
     blocks: tuple
     transform: np.ndarray
-    continuous: bool
 
     @property
     def n(self):
@@ -216,7 +215,6 @@ def _filtration(spectral, continuous, pol):
         mults=mults,
         blocks=blocks,
         transform=np.hstack(blocks),
-        continuous=continuous,
     )
 
 

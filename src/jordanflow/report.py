@@ -5,8 +5,8 @@ Reports are deterministic: floats are printed with 17 significant digits
 numerical verdict travels with its margin.  parse -> emit is the identity on
 report bytes.  The writer dispatches each list on the type of its first
 element and writes each distinct flat row of exact ints or exact floats
-once per call (a census repeats its assignment rows and rates thousands of
-times); the row memo lives for one call only.
+once per call (a census repeats its assignment rows thousands of times);
+the row memo lives for one call only.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 
-SCHEMA_VERSION = "jf-schema-1"
+SCHEMA_VERSION = "jf-schema-2"
 
 
 def _fmt_float(x):
@@ -162,26 +162,19 @@ def spectrum_dict(data):
 
 def components_table(components):
     """One dict per component; assignments stay tuples (they render as
-    lists), and components with equal ``rates`` share one rates list."""
-    out = []
-    rates_lists = {}
-    for i, c in enumerate(components):
-        rates = rates_lists.get(c.rates)
-        if rates is None:
-            rates = rates_lists[c.rates] = [float(r) for r in c.rates]
-        out.append(
-            {
-                "index": i + 1,
-                "assignment": c.assignment,
-                "cluster_rates": rates,
-                "dim": c.dim_component,
-                "n_w": c.dim_unstable,
-                "stable_dim": c.dim_stable,
-                "attractor": bool(c.is_attractor),
-                "repeller": bool(c.is_repeller),
-            }
-        )
-    return out
+    lists)."""
+    return [
+        {
+            "index": i + 1,
+            "assignment": c.assignment,
+            "dim": c.dim_component,
+            "n_w": c.dim_unstable,
+            "stable_dim": c.dim_stable,
+            "attractor": c.is_attractor,
+            "repeller": c.is_repeller,
+        }
+        for i, c in enumerate(components)
+    ]
 
 
 def load_schema(name):

@@ -6,6 +6,7 @@ series instead of Pade, closed forms instead of decompositions).  Tests
 freeze expected values from these, never from the code path under test.
 """
 
+import itertools
 import json
 import math
 
@@ -103,8 +104,6 @@ def companion(coeffs):
 
 def contingency_tables_bruteforce(row_sums, col_sums):
     """All nonneg integer matrices with given margins, by raw product scan."""
-    import itertools
-
     rows = len(row_sums)
     cols = len(col_sums)
     out = []
@@ -373,6 +372,72 @@ def dumps_canonical_reference(obj, indent=0):
     if isinstance(obj, str):
         return json.dumps(obj)
     raise InputError(f"cannot serialize {type(obj)!r} into a report")
+
+
+def _insert_after(d, key, items):
+    """A copy of the dict ``d`` with ``items`` placed right after ``key``
+    (nowhere if ``key`` is missing)."""
+    out = {}
+    for k, v in d.items():
+        out[k] = v
+        if k == key:
+            out.update(items)
+    return out
+
+
+def _only_index(components, flag):
+    """The ``index`` of the one component whose ``flag`` is true."""
+    (index,) = [c["index"] for c in components if c[flag]]
+    return index
+
+
+def down_convert_report(text):
+    """jf-schema-2 report text -> the jf-schema-1 text of the same report.
+
+    jf-schema-2 states each fact once; this puts back the jf-schema-1 copies
+    from the one copy that stays, in jf-schema-1 key order, and writes with
+    ``dumps_canonical_reference``:
+    - ``schema`` jf-schema-2/<command> becomes jf-schema-1/<command>;
+    - every component gets ``cluster_rates`` after ``assignment``: the
+      eigen rates (``classification.eigen_rates`` in ``analyze``, the
+      top-level ``eigen_rates`` in ``floquet``, which jf-schema-1 lacks) with
+      equal neighbours merged, since cluster rates strictly decrease (each
+      run's length must be the cluster's multiplicity, which every
+      assignment's column sums also give);
+    - ``classification`` gets ``structurally_stable`` (= ``h_regular``)
+      after ``conformal``, and ``attractor_index`` / ``repeller_index`` (the
+      ``index`` of the one component flagged ``attractor`` / ``repeller``)
+      after ``eigen_rates``.
+    A report that lost one of these facts raises or converts to other bytes.
+    """
+    doc = json.loads(text)
+    version, command = doc["schema"].split("/")
+    if version != "jf-schema-2":
+        raise ValueError(f"not a jf-schema-2 report: {doc['schema']!r}")
+    doc["schema"] = f"jf-schema-1/{command}"
+    if command == "floquet":
+        rates = doc.pop("eigen_rates")
+    elif command == "analyze":
+        cls = doc["classification"]
+        rates = cls["eigen_rates"]
+        comps = doc["components"]
+        cls = _insert_after(cls, "conformal", {"structurally_stable": cls["h_regular"]})
+        doc["classification"] = _insert_after(cls, "eigen_rates", {
+            "attractor_index": _only_index(comps, "attractor"),
+            "repeller_index": _only_index(comps, "repeller"),
+        })
+    if doc.get("components") is not None:
+        runs = [(r, len(list(group))) for r, group in itertools.groupby(rates)]
+        clusters = [r for r, _ in runs]
+        for c in doc["components"]:
+            if [sum(col) for col in zip(*c["assignment"])] != [m for _, m in runs]:
+                raise ValueError(f"component {c['index']}: the eigen rates do not "
+                                 "repeat each cluster rate by its multiplicity")
+        doc["components"] = [
+            _insert_after(c, "assignment", {"cluster_rates": clusters})
+            for c in doc["components"]
+        ]
+    return dumps_canonical_reference(doc) + "\n"
 
 
 def chain_graph_dense(pts, g1, eps, leg_doublings):

@@ -154,7 +154,7 @@ class TestAnalyze:
         rep = json.loads(out.read_text())
         assert len(rep["components"]) == 2
         cls = rep["classification"]
-        assert not cls["structurally_stable"] and not cls["conformal"]
+        assert not cls["h_regular"] and not cls["conformal"]
         jsonschema.validate(rep, load_schema("analyze"))
 
     def test_regular_full_flag_stable(self, tmp_path):
@@ -162,7 +162,7 @@ class TestAnalyze:
         out = tmp_path / "out.json"
         assert main(["analyze", str(f), "--flag", "1,2", "-o", str(out)]) == 0
         rep = json.loads(out.read_text())
-        assert rep["classification"]["structurally_stable"]
+        assert rep["classification"]["h_regular"]
         assert len(rep["components"]) == 6
         assert all(c["dim"] == 0 for c in rep["components"])
 
@@ -282,7 +282,7 @@ class TestAnalyze:
         assert code == 0
         rep = json.loads(out.read_text())
         fc = rep["flag_classification"]
-        att = rep["classification"]["attractor_index"]
+        att = next(c["index"] for c in rep["components"] if c["attractor"])
         assert fc["cell_index"] == att
         assert fc["recurrent"] and not fc["reorthonormalized"]
         jsonschema.validate(rep, load_schema("analyze"))
@@ -314,7 +314,31 @@ class TestAnalyze:
         rep = json.loads(out.read_text())
         fc = rep["flag_classification"]
         assert fc["recurrent"] is recurrent
-        assert fc["cell_index"] == rep["classification"]["repeller_index"]
+        assert fc["cell_index"] == next(c["index"] for c in rep["components"] if c["repeller"])
+
+    @pytest.mark.parametrize(
+        "seed, warned", [(0, True), (3, True), ("x4", False), ("x5", False)]
+    )
+    def test_pair_margin_warning(self, tmp_path, seed, warned):
+        """Rotated X5 at QR seeds 0 and 3: rounding splits the defective
+        eigenvalue -1 into a pair whose |Im| sits 1.6x above the pair
+        threshold, so it reads as conformal.  The warning says so; X4's
+        genuine rotation and unrotated X5 get none."""
+        if seed == "x4":
+            mat = x4(1, 2)
+        elif seed == "x5":
+            mat = x5(1.0)
+        else:
+            q = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+            mat = q @ x5(1.0) @ q.T
+        f = write_matrix(tmp_path / "m.json", mat)
+        out = tmp_path / "out.json"
+        assert main(["analyze", str(f), "--flag", "1", "-o", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        pair = [w for w in rep["warnings"] if w.startswith("conjugate-pair margin")]
+        assert len(pair) == int(warned)
+        if warned:
+            assert rep["classification"]["conformal"]
 
     def test_classify_flag_dims_mismatch_exit_2(self, x4_file, tmp_path):
         flag_doc = {"dims": [2], "basis": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
@@ -725,6 +749,7 @@ class TestFloquetCmd:
         assert rep["m"] == 1
         assert np.allclose(rep["generator"], x4(1, 2), atol=1e-7)
         assert rep["residuals"]["reconstruction"] < 1e-6
+        assert rep["eigen_rates"] is None and rep["components"] is None
         jsonschema.validate(rep, load_schema("floquet"))
 
     def test_scalar_modulated_closed_form(self, tmp_path):
@@ -739,6 +764,10 @@ class TestFloquetCmd:
         # int_0^1 (1 + 0.5 cos(2 pi s)) ds = 1, so X = A0
         assert np.allclose(rep["generator"], x4(1, 2), atol=1e-7)
         assert len(rep["components"]) == 2
+        # one rate per dimension: the pair's rate twice
+        assert np.allclose(rep["eigen_rates"], [2.0, -1.0, -1.0], atol=1e-7)
+        assert rep["eigen_rates"][1] == rep["eigen_rates"][2]
+        jsonschema.validate(rep, load_schema("floquet"))
 
     def test_rotation_by_pi_monodromy(self, tmp_path):
         angle = float(np.pi)
@@ -861,6 +890,14 @@ class TestFloquetRefusals:
         assert capsys.readouterr().err.splitlines() == [
             "jordanflow: error: determinant nan at t=9.765625e+304; step size unusable"
         ]
+
+    @pytest.mark.parametrize("harmonics", [5, None, "", {}])
+    def test_harmonics_not_a_list_exit_2(self, tmp_path, monkeypatch, harmonics):
+        """A number or null used to exit 1 with a TypeError; a string or an
+        object was iterated by character or by key, so an empty one passed
+        as no harmonics."""
+        doc = {"T": 1.0, "A0": [[0.0, 1.0], [-1.0, 0.0]], "harmonics": harmonics}
+        assert self.run(tmp_path, monkeypatch, doc) == 2
 
     @pytest.mark.parametrize("k", [True, False, 0, 1.0, "1"])
     def test_harmonic_index_not_positive_integer_exit_2(self, tmp_path, monkeypatch, k):
@@ -986,4 +1023,4 @@ class TestEntryPoint:
         proc = run_cli(["decompose", str(f)])
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
-        assert rep["schema"] == "jf-schema-1/decompose"
+        assert rep["schema"] == "jf-schema-2/decompose"

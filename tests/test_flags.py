@@ -160,6 +160,16 @@ class TestEnumerate:
                 att = next(c for c in comps if c.is_attractor)
                 assert att.n_w == 0
 
+    def test_component_stores_table_and_dimensions_only(self):
+        """The rates are the filtration's, stated once; attractor and
+        repeller are read off the dimensions."""
+        names = [f.name for f in dataclasses.fields(flags.FlagMorseComponent)]
+        assert names == ["assignment", "dim_component", "dim_unstable", "dim_stable"]
+        comps = enumerate_morse_components(rate_filtration(additive_jordan(x5(1.0))), (1, 2))
+        for c in comps:
+            assert c.is_attractor is (c.dim_unstable == 0)
+            assert c.is_repeller is (c.dim_stable == 0)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_census_matches_bruteforce_margins(self, seed):
@@ -220,9 +230,7 @@ def _filtration(n, mults, rates):
     eye = np.eye(n)
     starts = np.cumsum([0, *mults])
     blocks = tuple(eye[:, a:b] for a, b in zip(starts, starts[1:]))
-    return RateFiltration(
-        rates=rates, mults=mults, blocks=blocks, transform=eye, continuous=True
-    )
+    return RateFiltration(rates=rates, mults=mults, blocks=blocks, transform=eye)
 
 
 class TestPairCounts:
@@ -582,6 +590,18 @@ class TestClassify:
     def test_full_space_flag_rejected(self):
         with pytest.raises(InputError):
             classify_flow(additive_jordan(x4(1, 2)), (1, 2, 3))
+
+    def test_pair_margin(self):
+        """Mean |Im| of a non-real cluster over cluster_tol * max(1, |lambda|),
+        larger over smaller; inf without non-real clusters."""
+        assert classify_flow(additive_jordan(x5(1.0)), (1,)).pair_margin == math.inf
+        # X4(1, 2): the pair -1 +- 2i
+        margin = classify_flow(additive_jordan(x4(1, 2)), (1,)).pair_margin
+        assert margin == pytest.approx(2.0 / (1e-8 * math.sqrt(5.0)))
+        for seed in (0, 3):
+            q = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+            cls = classify_flow(additive_jordan(q @ x5(1.0) @ q.T), (1,))
+            assert cls.conformal and 1.0 <= cls.pair_margin < 2.0
 
 
 class TestFlagRecurrence:

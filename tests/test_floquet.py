@@ -570,8 +570,8 @@ class TestFloquetMorse:
         assert fmd.components is fmd.classification.components
         assert fmd.components == cls.components
         assert list(fmd.components) == enumerate_morse_components(rate_filtration(fd.dec), dims)
-        for field in ("h_regular", "conformal", "attractor_index", "repeller_index",
-                      "eigen_rates", "rate_margin", "conformal_margin"):
+        for field in ("h_regular", "conformal", "eigen_rates", "rate_margin",
+                      "pair_margin", "conformal_margin"):
             assert getattr(fmd.classification, field) == getattr(cls, field), field
         assert fmd.classification.filtration.rates == cls.filtration.rates
 

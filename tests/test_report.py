@@ -1,6 +1,8 @@
 import json
 import tracemalloc
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from jordanflow import InputError
 from jordanflow.cli import main
-from jordanflow.report import dumps_canonical
-from oracles import dumps_canonical_reference
+from jordanflow.report import SCHEMA_VERSION, dumps_canonical, load_schema
+from oracles import down_convert_report, dumps_canonical_reference
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -142,3 +144,120 @@ class TestDumpsCanonical:
             tracemalloc.stop()
         assert text + "\n" == out.read_text()
         assert peak <= 3.5 * len(text)
+
+
+#: jf-schema-1 reports of these runs, written by jordanflow before
+#: jf-schema-2 and kept in ``data/jf_schema_1``: name -> (subcommand, input
+#: document, flag file document or None, options).  The inputs are in Schur
+#: form already (diagonal, one 2 x 2 rotation block, one Jordan block), so
+#: their reports carry no rounding that another LAPACK could change.
+DOWN_CONVERT_CASES = {
+    "analyze-jordan-block": (
+        "analyze",
+        {"n": 4, "rows": [[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                          [0.0, 0.0, -0.5, 0.0], [0.0, 0.0, 0.0, -1.5]]},
+        None,
+        ["--flag", "1,2"],
+    ),
+    "analyze-regular-classify-flag": (
+        "analyze",
+        {"n": 3, "rows": [[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -4.0]]},
+        {"dims": [1, 2], "basis": [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]},
+        ["--flag", "1,2"],
+    ),
+    "analyze-discrete-rotation": (
+        "analyze",
+        {"n": 3, "rows": [[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.25]]},
+        None,
+        ["--flag", "1", "--time", "discrete"],
+    ),
+    "floquet-repeated-rate": (
+        "floquet",
+        {"T": 1.0, "A0": [[0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, -0.5]],
+         "harmonics": []},
+        None,
+        ["--flag", "1,2", "--steps", "64"],
+    ),
+    "floquet-no-flag": (
+        "floquet",
+        {"T": 1.0, "A0": [[0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, -0.5]],
+         "harmonics": []},
+        None,
+        ["--steps", "64"],
+    ),
+    "decompose-x4": (
+        "decompose",
+        {"n": 3, "rows": [[-1.0, -2.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, 2.0]]},
+        None,
+        [],
+    ),
+}
+
+JF_SCHEMA_1 = Path(__file__).parent / "data" / "jf_schema_1"
+
+
+def run_case(name, tmp_path):
+    """The report text of one ``DOWN_CONVERT_CASES`` run."""
+    command, doc, flag_doc, options = DOWN_CONVERT_CASES[name]
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(doc))
+    argv = [command, str(src), *options, "-o", str(tmp_path / "out.json")]
+    if flag_doc is not None:
+        (tmp_path / "flag.json").write_text(json.dumps(flag_doc))
+        argv += ["--classify-flag", str(tmp_path / "flag.json")]
+    assert main(argv) == 0
+    return (tmp_path / "out.json").read_text()
+
+
+class TestDownConvert:
+    """jf-schema-2 drops copies only: each report converts back to the
+    jf-schema-1 bytes of the same run."""
+
+    @pytest.mark.parametrize("name", sorted(DOWN_CONVERT_CASES))
+    def test_reproduces_jf_schema_1_bytes(self, name, tmp_path):
+        text = run_case(name, tmp_path)
+        rep = json.loads(text)
+        assert rep["schema"] == f"{SCHEMA_VERSION}/{DOWN_CONVERT_CASES[name][0]}"
+        jsonschema.validate(rep, load_schema(DOWN_CONVERT_CASES[name][0]))
+        assert down_convert_report(text) == (JF_SCHEMA_1 / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("name", ["analyze-jordan-block", "floquet-repeated-rate"])
+    def test_no_fact_stated_twice(self, name, tmp_path):
+        rep = json.loads(run_case(name, tmp_path))
+        for c in rep["components"]:
+            assert set(c) == {
+                "index", "assignment", "dim", "n_w", "stable_dim", "attractor", "repeller"
+            }
+        if "classification" in rep:
+            assert set(rep["classification"]) == {
+                "h_regular", "conformal", "rate_margin", "conformal_margin", "eigen_rates"
+            }
+        else:
+            assert np.allclose(rep["eigen_rates"], [0.25, 0.25, -0.5], atol=1e-9)
+            assert rep["eigen_rates"][0] == rep["eigen_rates"][1]
+
+    def test_floquet_without_flag_has_null_rates(self, tmp_path):
+        rep = json.loads(run_case("floquet-no-flag", tmp_path))
+        assert rep["eigen_rates"] is None and rep["components"] is None
+
+    @pytest.mark.parametrize("flag", ["attractor", "repeller"])
+    def test_dropped_flag_is_caught(self, flag, tmp_path):
+        rep = json.loads(run_case("analyze-jordan-block", tmp_path))
+        comp = next(c for c in rep["components"] if c[flag])
+        del comp[flag]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(rep, load_schema("analyze"))
+        with pytest.raises((KeyError, ValueError)):
+            down_convert_report(dumps_canonical(rep))
+
+    @pytest.mark.parametrize("name", ["analyze-jordan-block", "floquet-repeated-rate"])
+    def test_merged_eigen_rates_are_caught(self, name, tmp_path):
+        """Eigen rates written once per cluster instead of once per
+        dimension lose the multiplicities."""
+        rep = json.loads(run_case(name, tmp_path))
+        holder = rep.get("classification", rep)
+        rates = holder["eigen_rates"]
+        holder["eigen_rates"] = sorted(set(rates), reverse=True)
+        assert holder["eigen_rates"] != rates
+        with pytest.raises(ValueError, match="multiplicity"):
+            down_convert_report(dumps_canonical(rep))
