@@ -11,7 +11,6 @@ can be cross-checked against numerical simulation.
 
 from .errors import (
     BranchObstruction,
-    DimensionTooLarge,
     GridTooLarge,
     IllConditioned,
     InputError,
@@ -19,7 +18,6 @@ from .errors import (
     JordanFlowError,
     NoRealLog,
     NonConvergence,
-    NotElliptic,
     NotNilpotent,
     Overflow,
     RankAmbiguous,
@@ -38,23 +36,15 @@ from .matrixcore import (
 )
 from .jordan import (
     AdditiveJordan,
-    InvariantMetric,
     MultiplicativeJordan,
     additive_jordan,
-    flow_at,
-    invariant_metric,
     multiplicative_jordan,
-    sn_decompose,
-    wedge_infinitesimal,
-    wedge_representation,
 )
 from .projective import (
     ChainGraph,
     ProjectivePoint,
     chain_oracle,
-    projective_distance,
     simulate_projective,
-    unipotent_limit,
 )
 from .flags import (
     Flag,
@@ -64,11 +54,9 @@ from .flags import (
     bruhat_cell,
     chain_recurrent_membership,
     classify_flow,
-    component_dimensions,
     enumerate_morse_components,
     flag_recurrent_membership,
     height_lyapunov,
-    plucker_embed,
     rate_filtration,
     recurrent_membership,
     simulate_flag,
@@ -82,11 +70,9 @@ from .floquet import (
     PeriodicCoefficient,
     floquet_data,
     floquet_generator,
-    floquet_lyapunov,
     floquet_morse_components,
     integrate_fundamental,
     periodic_factor,
-    skew_step,
 )
 
 __version__ = "0.1.0"

@@ -42,14 +42,6 @@ class NotNilpotent(JordanFlowError):
     """Matrix is not nilpotent within tolerance."""
 
 
-class NotElliptic(JordanFlowError):
-    """Matrix has an eigenvalue off the unit circle beyond tolerance."""
-
-
-class DimensionTooLarge(JordanFlowError):
-    """Wedge-power dimension C(n, p) exceeds the supported cap."""
-
-
 class GridTooLarge(JordanFlowError):
     """Input exceeds a stated budget: a chain-oracle grid that is infeasible
     (dimension, resolution or pair budget), Floquet samples above

@@ -19,15 +19,15 @@ from operator import mul, sub
 import numpy as np
 
 from .errors import IllConditioned, InputError, InvariantViolated, RankAmbiguous
-from .jordan import wedge_basis
 from .matrixcore import (
     DEFAULT_POLICY,
+    _as_index,
+    _as_tuple,
     as_square_matrix,
     complex_spectrum,
     opnorm,
 )
 from .projective import (
-    ProjectivePoint,
     RateFiltration,
     _advance,
     _as_decomposition,
@@ -41,9 +41,7 @@ __all__ = [
     "Flag",
     "FlagMorseComponent",
     "FlowClassification",
-    "plucker_embed",
     "enumerate_morse_components",
-    "component_dimensions",
     "bruhat_cell",
     "unstable_bruhat_cell",
     "stable_set_index",
@@ -77,7 +75,8 @@ class FlagType:
     dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _as_tuple(self.dims, "flag dims")
+        dims = tuple(_as_index(d, "flag dimension") for d in dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:
             raise InputError("empty flag signature (trivial manifold) rejected")
@@ -119,7 +118,7 @@ class Flag:
 
     def __init__(self, basis, dims):
         if not isinstance(dims, FlagType):
-            dims = FlagType(tuple(dims))
+            dims = FlagType(dims)
         b = np.array(basis, dtype=float)
         if b.ndim != 2:
             raise InputError("flag basis must be an n x d matrix")
@@ -157,33 +156,9 @@ class Flag:
 def random_flag(n, dims, rng):
     """Haar-ish random flag: QR of a Gaussian matrix."""
     if not isinstance(dims, FlagType):
-        dims = FlagType(tuple(dims))
+        dims = FlagType(dims)
     b = rng.normal(size=(n, dims.dims[-1]))
     return Flag(_orthonormalize(b), dims)
-
-
-# ---------------------------------------------------------------------------
-# Pluecker embedding
-# ---------------------------------------------------------------------------
-
-def plucker_embed(basis):
-    """Projectivized wedge of a subspace basis, in lexicographic wedge
-    coordinates: coordinate I is det(B[I, :]).
-
-    Accepts a Flag (top subspace is used: pass ``flag.subspace(i)`` for a
-    specific level) or an n x p basis matrix.  Equivariant: the class of
-    i(gV) equals rho(g) i(V).
-    """
-    if isinstance(basis, Flag):
-        basis = basis.subspace(len(basis.dims.dims) - 1)
-    b = np.asarray(basis, dtype=float)
-    n, p = b.shape
-    if not 1 <= p <= n - 1:
-        raise InputError(f"subspace dimension {p} outside 1..{n - 1}")
-    combos = wedge_basis(n, p)
-    idx = np.array(combos)
-    coords = np.linalg.det(b[idx, :])
-    return ProjectivePoint(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +268,6 @@ def _census(row_sums, col_sums, rates):
     return tail(0, tuple(col_sums))
 
 
-def component_dimensions(assignment, rates):
-    """(component, unstable, stable) dimensions by pair counting: the sums
-    over the table's rows of the counts ``_census`` adds for each row."""
-    faster = _faster_slots(rates)
-    below = [sum(col) for col in zip(*assignment)]
-    counts = []
-    for row in assignment:
-        below = list(map(sub, below, row))
-        c = sum(map(mul, row, below))
-        u = sum(map(mul, row, faster(below)))
-        counts.append((c, u, sum(row) * sum(below) - c - u))
-    return tuple(map(sum, zip(*counts)))
-
-
 def enumerate_morse_components(filt, dims, pol=None):
     """All Morse components of the flow on the flag manifold of signature dims.
 
@@ -325,7 +286,7 @@ def enumerate_morse_components(filt, dims, pol=None):
     if not isinstance(filt, RateFiltration):
         filt = rate_filtration(filt, pol)
     if not isinstance(dims, FlagType):
-        dims = FlagType(tuple(dims))
+        dims = FlagType(dims)
     dims.validate_for(filt.n)
     census = _census(dims.increments(filt.n), filt.mults, filt.rates)
     total = dims.manifold_dimension(filt.n)
@@ -613,7 +574,7 @@ def classify_flow(dec, dims, pol=None):
     pol = pol or DEFAULT_POLICY
     filt = rate_filtration(dec, pol)
     if not isinstance(dims, FlagType):
-        dims = FlagType(tuple(dims))
+        dims = FlagType(dims)
     dims.validate_for(filt.n)
 
     h_regular = all(m == 1 for m in filt.mults)

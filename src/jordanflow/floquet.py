@@ -15,17 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooLarge, InputError, NoRealLog, StiffnessSuspected
-from .flags import (
-    Flag,
-    _cell_assignment,
-    _fixed,
-    _orthonormalize,
-    classify_flow,
-    height_lyapunov,
-)
+from .flags import Flag, _cell_assignment, _fixed, _orthonormalize, classify_flow
 from .jordan import additive_jordan, multiplicative_jordan
-from .matrixcore import DEFAULT_POLICY, as_square_matrix, matrix_exp, opnorm
-from .projective import ProjectivePoint
+from .matrixcore import (
+    DEFAULT_POLICY,
+    _as_index,
+    _as_tuple,
+    as_square_matrix,
+    matrix_exp,
+    opnorm,
+)
 
 __all__ = [
     "PeriodicCoefficient",
@@ -35,10 +34,8 @@ __all__ = [
     "floquet_generator",
     "floquet_data",
     "periodic_factor",
-    "skew_step",
     "FloquetMorseDecomposition",
     "floquet_morse_components",
-    "floquet_lyapunov",
 ]
 
 MAX_HARMONICS = 16
@@ -76,12 +73,13 @@ class PeriodicCoefficient:
         a0 = as_square_matrix(self.a0, "A0")
         object.__setattr__(self, "a0", a0)
         n = a0.shape[0]
-        if len(self.harmonics) > MAX_HARMONICS:
+        harmonics = _as_tuple(self.harmonics, "harmonics")
+        if len(harmonics) > MAX_HARMONICS:
             raise InputError(f"at most {MAX_HARMONICS} harmonics supported")
         cleaned = []
         scale = max(1.0, opnorm(a0))
-        for k, a, b in self.harmonics:
-            k = int(k)
+        for k, a, b in harmonics:
+            k = _as_index(k, "harmonic index")
             a = as_square_matrix(a, f"A_{k}")
             b = as_square_matrix(b, f"B_{k}")
             if a.shape[0] != n or b.shape[0] != n:
@@ -332,11 +330,14 @@ class FloquetData:
     a(t) = g(t) exp(-tX) (period mT)."""
 
     fundamental: FundamentalSolution
-    monodromy: np.ndarray
     m: int
     X: np.ndarray
     generator_residual: float
     dec: object  # AdditiveJordan of X
+
+    @property
+    def monodromy(self):
+        return self.fundamental.monodromy
 
     @property
     def period(self):
@@ -356,7 +357,6 @@ def floquet_data(fund, pol=None):
     dec = additive_jordan(x, pol)
     return FloquetData(
         fundamental=fund,
-        monodromy=fund.monodromy.copy(),
         m=m,
         X=x,
         generator_residual=resid,
@@ -369,26 +369,9 @@ def periodic_factor(fund, fd, t):
     return fund.at(t) @ matrix_exp(-t * fd.X)
 
 
-def skew_step(fund, fd, s, x, t):
-    """One move of the skew-product flow over the circle R / (mT)Z:
-    (s, x) -> (s + t, rho_s(t) x) with rho_s(t) = g(t + s) g(s)^(-1)."""
-    rho = fund.at(s + t) @ np.linalg.inv(fund.at(s))
-    s_new = (s + t) % fd.skew_period
-    if isinstance(x, ProjectivePoint):
-        return s_new, ProjectivePoint(rho @ x.rep)
-    if isinstance(x, Flag):
-        return s_new, Flag(_orthonormalize(rho @ x.basis), x.dims)
-    raise InputError("skew_step moves ProjectivePoint or Flag values")
-
-
 # ---------------------------------------------------------------------------
 # Morse decomposition of the skew flow
 # ---------------------------------------------------------------------------
-
-def _pull_back(fd, s, flag):
-    """The fiber flag a(s)^(-1) flag, re-orthonormalized."""
-    return Flag(_orthonormalize(np.linalg.solve(fd.a(s), flag.basis)), flag.dims)
-
 
 @dataclass(frozen=True)
 class FloquetMorseDecomposition:
@@ -411,7 +394,8 @@ class FloquetMorseDecomposition:
         h-invariant flag whose Bruhat pattern matches the component."""
         pol = pol or DEFAULT_POLICY
         tol = pol.sim_tol if tol is None else tol
-        z = _pull_back(self.data, s, flag)
+        z = np.linalg.solve(self.data.a(s), flag.basis)
+        z = Flag(_orthonormalize(z), flag.dims)
         if not _fixed(z, self.data.dec, tol, chain=True):
             return False
         table, _ = _cell_assignment(z, self.classification.filtration, pol)
@@ -423,10 +407,3 @@ def floquet_morse_components(fd, dims, pol=None):
     ``dims``, each component with the transport rule x -> a(s) x."""
     cls = classify_flow(fd.dec, dims, pol)
     return FloquetMorseDecomposition(data=fd, classification=cls)
-
-
-def floquet_lyapunov(fd, s, flag, pol=None):
-    """Lyapunov value F(s, y) = f(a(s)^(-1) y) of the skew flow; constant on
-    skew Morse components, non-increasing along skew orbits."""
-    pol = pol or DEFAULT_POLICY
-    return height_lyapunov(_pull_back(fd, s, flag), fd.dec.H, pol)

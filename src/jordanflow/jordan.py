@@ -10,23 +10,14 @@ machinery keeps "equal eigenvalues" a single user-visible knob.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    IllConditioned,
-    InputError,
-    NotElliptic,
-    Overflow,
-    Singular,
-)
+from .errors import IllConditioned, InputError, Singular
 from .matrixcore import (
     DEFAULT_POLICY,
-    EXP_NORM_BUDGET,
     SpectralData,
     as_square_matrix,
     complex_spectrum,
@@ -39,19 +30,9 @@ from .matrixcore import (
 __all__ = [
     "AdditiveJordan",
     "MultiplicativeJordan",
-    "InvariantMetric",
-    "sn_decompose",
     "additive_jordan",
     "multiplicative_jordan",
-    "flow_at",
-    "invariant_metric",
-    "wedge_representation",
-    "wedge_infinitesimal",
-    "wedge_basis",
 ]
-
-#: Hard cap on wedge-space dimension C(n, p).
-WEDGE_DIM_CAP = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +96,6 @@ def _assemble(data, block_fn):
 def semisimple_part(data):
     """The semisimple factor S of the clustered matrix (A = S + nilpotent)."""
     return _assemble(data, _cluster_semisimple_block)
-
-
-def sn_decompose(a, pol=None):
-    """Split A = S + N with S semisimple, N nilpotent, [S, N] = 0."""
-    pol = pol or DEFAULT_POLICY
-    data = a if isinstance(a, SpectralData) else complex_spectrum(a, pol)
-    s = semisimple_part(data)
-    n = data.matrix - s
-    _check_sn(data.matrix, s, n, pol)
-    return s, n
 
 
 def _check_sn(a, s, n, pol):
@@ -198,17 +169,6 @@ class MultiplicativeJordan:
             return math.remainder(m * theta, 2.0 * math.pi) * j
 
         return _assemble(self.spectral, block)
-
-
-@dataclass(frozen=True)
-class InvariantMetric:
-    """Symmetric positive-definite gram matrix M with e^T M e = M."""
-
-    gram: np.ndarray
-
-    def norm(self, v):
-        v = np.asarray(v, dtype=float)
-        return float(np.sqrt(v @ self.gram @ v))
 
 
 def _check_jordan_residuals(res, scale, n, pol):
@@ -290,163 +250,3 @@ def multiplicative_jordan(g, pol=None):
     return MultiplicativeJordan(
         g=g, e=e, h=h, u=u, logH=log_h, spectral=data, policy=pol, residuals=res
     )
-
-
-def flow_at(t, dec):
-    """Evaluate the flow and its Jordan factors at time t.
-
-    Continuous decompositions accept any real t (g^t = exp(tX)); discrete
-    ones require integer t and use matrix powers for g and e.  In both cases
-    h^t = exp(t logH) and u^t = exp(t log u).
-    """
-    if isinstance(dec, AdditiveJordan):
-        t = float(t)
-        if abs(t) * max(opnorm(dec.X), opnorm(dec.H)) > EXP_NORM_BUDGET:
-            raise Overflow(f"|t|*|H| exceeds the exp budget at t={t}")
-        gt = matrix_exp(t * dec.X)
-        et = matrix_exp(t * dec.E)
-        ht = matrix_exp(t * dec.H)
-        ut = matrix_exp(t * dec.N)
-        return gt, et, ht, ut
-    if isinstance(dec, MultiplicativeJordan):
-        if float(t) != int(t):
-            raise InputError(
-                "discrete-time decomposition: flow_at needs integer t "
-                "(build an AdditiveJordan for continuous time)"
-            )
-        t = int(t)
-        if abs(t) * opnorm(dec.logH) > EXP_NORM_BUDGET:
-            raise Overflow(f"|t|*|logH| exceeds the exp budget at t={t}")
-        et = np.linalg.matrix_power(dec.e, t)
-        ht = matrix_exp(t * dec.logH)
-        ut = matrix_exp(t * dec.log_u())
-        gt = np.linalg.matrix_power(dec.g, t)
-        return gt, et, ht, ut
-    raise InputError(f"not a Jordan decomposition: {type(dec)!r}")
-
-
-# ---------------------------------------------------------------------------
-# invariant inner product for the elliptic part
-# ---------------------------------------------------------------------------
-
-def invariant_metric(e, pol=None):
-    """Inner product in which an elliptic matrix acts by isometries.
-
-    Block-diagonalizes e into plane rotations (one invariant plane per
-    complex eigenvector, real lines for eigenvalues +-1) and returns the
-    congruence gram M = C^{-T} C^{-1}; then e^T M e = M exactly up to
-    rounding.  No ergodic averaging is involved.  The gram is canonical up
-    to a positive scale per invariant plane.
-    """
-    pol = pol or DEFAULT_POLICY
-    e = as_square_matrix(e, "e")
-    data = complex_spectrum(e, pol)
-    scale = max(1.0, opnorm(e))
-    columns = []
-    for c in data.clusters:
-        lam = c.eigenvalue
-        if abs(abs(lam) - 1.0) > pol.cluster_tol * 10:
-            raise NotElliptic(
-                f"eigenvalue {lam} has modulus {abs(lam):.12f}, off the unit "
-                "circle"
-            )
-        block = c.block
-        k = block.shape[0]
-        ss = _cluster_semisimple_block(c)
-        if opnorm(block - ss) > pol.residual_tol * scale * 100:
-            raise NotElliptic(
-                "matrix has a nontrivial nilpotent part on a unit-circle "
-                "cluster; not power bounded"
-            )
-        if not c.is_pair:
-            columns.append(c.basis)
-            continue
-        w, v = np.linalg.eig(block)
-        picked = [i for i in range(k) if w[i].imag > 0]
-        if len(picked) != k // 2:
-            raise NotElliptic("could not pair complex eigenvectors")
-        cols = np.empty((k, k))
-        for j, i in enumerate(picked):
-            z = v[:, i]
-            z = z * (np.sqrt(2.0) / np.linalg.norm(z))
-            cols[:, 2 * j] = z.real
-            cols[:, 2 * j + 1] = -z.imag
-        columns.append(c.basis @ cols)
-    cmat = np.hstack(columns)
-    gram = np.linalg.inv(cmat @ cmat.T)
-    gram = 0.5 * (gram + gram.T)
-    iso = opnorm(e.T @ gram @ e - gram)
-    if iso > pol.residual_tol * max(1.0, opnorm(gram)) * 100:
-        raise NotElliptic(f"isometry residual {iso:.3e}; matrix is not elliptic")
-    return InvariantMetric(gram=gram)
-
-
-# ---------------------------------------------------------------------------
-# wedge (compound-matrix) representation
-# ---------------------------------------------------------------------------
-
-def wedge_basis(n, p):
-    """Lexicographic p-index sets; the basis order of the wedge space."""
-    return list(itertools.combinations(range(n), p))
-
-
-def _check_wedge_args(n, p):
-    if not 1 <= p <= n - 1:
-        raise InputError(f"wedge power p={p} outside 1..{n - 1}")
-    dim = math.comb(n, p)
-    if dim > WEDGE_DIM_CAP:
-        raise DimensionTooLarge(
-            f"C({n},{p}) = {dim} exceeds the wedge dimension cap {WEDGE_DIM_CAP}"
-        )
-    return dim
-
-
-def wedge_representation(g, p):
-    """Matrix of v1^...^vp -> g v1^...^g vp on the lexicographic wedge basis.
-
-    Entry [I, J] is the minor det(g[I, J]); multiplicativity
-    rho(g1 g2) = rho(g1) rho(g2) is Cauchy-Binet.
-    """
-    g = as_square_matrix(g, "g")
-    n = g.shape[0]
-    dim = _check_wedge_args(n, p)
-    combos = wedge_basis(n, p)
-    idx = np.array(combos)
-    out = np.empty((dim, dim))
-    for j, cols in enumerate(combos):
-        sub = g[:, cols]
-        out[:, j] = np.linalg.det(sub[idx, :])
-    return out
-
-
-def _sorted_with_sign(seq):
-    """Sort distinct indices, returning (tuple, permutation sign)."""
-    s = list(seq)
-    inv = sum(
-        1 for a in range(len(s)) for b in range(a + 1, len(s)) if s[a] > s[b]
-    )
-    return tuple(sorted(s)), (-1 if inv % 2 else 1)
-
-
-def wedge_infinitesimal(x, p):
-    """Derived representation: v1^...^vp -> sum_i v1^...^X vi^...^vp."""
-    x = as_square_matrix(x, "X")
-    n = x.shape[0]
-    dim = _check_wedge_args(n, p)
-    combos = wedge_basis(n, p)
-    pos = {c: i for i, c in enumerate(combos)}
-    out = np.zeros((dim, dim))
-    for j, cols in enumerate(combos):
-        colset = set(cols)
-        for i, ji in enumerate(cols):
-            for k in range(n):
-                if k == ji:
-                    out[j, j] += x[ji, ji]
-                    continue
-                if k in colset:
-                    continue
-                replaced = list(cols)
-                replaced[i] = k
-                target, sign = _sorted_with_sign(replaced)
-                out[pos[target], j] += sign * x[k, ji]
-    return out

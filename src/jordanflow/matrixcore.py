@@ -10,6 +10,7 @@ eigenvalue coincidence.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,8 @@ __all__ = [
     "as_square_matrix",
 ]
 
-#: Largest matrix dimension accepted by the spectral entry points.  Wedge
-#: representations grow like C(n, p); desk scale is all we support.
+#: Largest matrix dimension accepted by the spectral entry points.  The
+#: full-flag census has up to n! components; desk scale is all we support.
 MAX_DIM = 12
 
 #: exp() budget: beyond this 2-norm the scaled-and-squared exponential is at
@@ -94,6 +95,25 @@ def as_square_matrix(a, name="matrix", max_dim=None):
             f"{name} has dimension {m.shape[0]}; supported range is 2..{max_dim}"
         )
     return m
+
+
+def _as_tuple(values, name):
+    """``tuple(values)``; ``InputError`` if ``values`` is not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InputError(f"{name} must be a sequence, got {values!r}") from None
+
+
+def _as_index(value, name):
+    """``operator.index(value)``, so numpy integers pass; ``InputError`` for
+    a bool or a non-integer such as 1.5."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ components, stable and unstable sets and recurrence are those of ``flags``
 read for a line.  This module holds what is particular to points: the
 points themselves, the rate frame (the hyperbolic Jordan factor's
 eigenvalue clusters grouped by rate, whose blocks span the projective
-eigenspaces, the finest Morse decomposition), unipotent limits, simulation
-with mandatory renormalization, and a brute-force (eps, T)-chain oracle on
-a grid for cross-checking.
+eigenspaces, the finest Morse decomposition), simulation with mandatory
+renormalization, and a brute-force (eps, T)-chain oracle on a grid for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -22,20 +22,12 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import GridTooLarge, InputError, InvariantViolated
 from .jordan import AdditiveJordan, MultiplicativeJordan
-from .matrixcore import (
-    DEFAULT_POLICY,
-    as_square_matrix,
-    matrix_exp,
-    nilpotency_index,
-    opnorm,
-)
+from .matrixcore import DEFAULT_POLICY, matrix_exp
 
 __all__ = [
     "ProjectivePoint",
-    "projective_distance",
     "RateFiltration",
     "rate_filtration",
-    "unipotent_limit",
     "simulate_projective",
     "ChainGraph",
     "chain_oracle",
@@ -112,23 +104,6 @@ class ProjectivePoint:
 
     def __repr__(self):
         return f"ProjectivePoint({np.array2string(self.rep, precision=6)})"
-
-
-def projective_distance(p, q, metric=None):
-    """Chordal metric d([x],[y]) = min(|x-y|, |x+y|) on unit representatives.
-
-    With an InvariantMetric the same formula is evaluated in the M-norm on
-    M-normalized representatives, so an elliptic factor acts by isometries.
-    """
-    x, y = p.rep, q.rep
-    if metric is None:
-        return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
-    m = metric.gram
-    x = x / math.sqrt(x @ m @ x)
-    y = y / math.sqrt(y @ m @ y)
-    d1 = x - y
-    d2 = x + y
-    return float(min(math.sqrt(d1 @ m @ d1), math.sqrt(d2 @ m @ d2)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,24 +211,6 @@ def _as_decomposition(dec):
 def rate_filtration(dec, pol=None):
     dec = _as_decomposition(dec)
     return _filtration(dec.spectral, dec.continuous, pol or DEFAULT_POLICY)
-
-
-def unipotent_limit(p, n_mat, pol=None):
-    """Two-sided limit of exp(tN)[x]: the class [N^k x] for the last k with
-    N^k x != 0.  The returned point is fixed by the unipotent flow."""
-    pol = pol or DEFAULT_POLICY
-    n_mat = as_square_matrix(n_mat, "N")
-    nilpotency_index(n_mat, pol)  # NotNilpotent if it is not
-    x = p.rep
-    scale = max(1.0, opnorm(n_mat))
-    best = x
-    power = x
-    for k in range(1, n_mat.shape[0] + 1):
-        power = n_mat @ power
-        if np.linalg.norm(power) <= pol.residual_tol * np.linalg.norm(x) * scale**k:
-            break
-        best = power
-    return ProjectivePoint(best)
 
 
 # ---------------------------------------------------------------------------

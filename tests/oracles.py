@@ -2,8 +2,11 @@
 
 Each oracle computes the same quantity as a library operation by a
 different algorithm (interpolation instead of Schur/Sylvester, truncated
-series instead of Pade, closed forms instead of decompositions).  Tests
-freeze expected values from these, never from the code path under test.
+series instead of Pade, closed forms instead of decompositions), or is a
+construction the library does not need that a test checks the library
+against (wedge representations, Pluecker coordinates, unipotent limits, the
+skew-product step).  Tests freeze expected values from these, never from
+the code path under test.
 """
 
 import itertools
@@ -22,6 +25,7 @@ from jordanflow.errors import (
     RankAmbiguous,
     StiffnessSuspected,
 )
+from jordanflow.flags import Flag
 from jordanflow.floquet import (
     MIN_STEPS,
     STIFFNESS_BUDGET,
@@ -35,8 +39,10 @@ from jordanflow.matrixcore import (
     SpectralData,
     as_square_matrix,
     complex_spectrum,
+    nilpotency_index,
     opnorm,
 )
+from jordanflow.projective import ProjectivePoint
 
 
 def hermite_projection(a, cluster_values, all_values):
@@ -329,6 +335,101 @@ def height_lyapunov_reference(flag, h_matrix, pol=None):
         cols = yo[:, :d]
         val += float(np.sum(d_rates[:, None] * cols**2))
     return -val
+
+
+def projective_distance(p, q):
+    """Chordal metric d([x],[y]) = min(|x-y|, |x+y|) on unit representatives."""
+    x, y = p.rep, q.rep
+    return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
+
+
+def unipotent_limit(p, n_mat, pol=None):
+    """Two-sided limit of exp(tN)[x]: the class [N^k x] for the last k with
+    N^k x != 0.  The returned point is fixed by the unipotent flow."""
+    pol = pol or DEFAULT_POLICY
+    n_mat = as_square_matrix(n_mat, "N")
+    nilpotency_index(n_mat, pol)  # NotNilpotent if it is not
+    x = p.rep
+    scale = max(1.0, opnorm(n_mat))
+    best = x
+    power = x
+    for k in range(1, n_mat.shape[0] + 1):
+        power = n_mat @ power
+        if np.linalg.norm(power) <= pol.residual_tol * np.linalg.norm(x) * scale**k:
+            break
+        best = power
+    return ProjectivePoint(best)
+
+
+def wedge_basis(n, p):
+    """Lexicographic p-index sets; the basis order of the wedge space."""
+    return list(itertools.combinations(range(n), p))
+
+
+def wedge_representation(g, p):
+    """Matrix of v1^...^vp -> g v1^...^g vp on the lexicographic wedge basis.
+
+    Entry [I, J] is the minor det(g[I, J]); multiplicativity
+    rho(g1 g2) = rho(g1) rho(g2) is Cauchy-Binet.
+    """
+    g = as_square_matrix(g, "g")
+    combos = wedge_basis(g.shape[0], p)
+    idx = np.array(combos)
+    out = np.empty((len(combos), len(combos)))
+    for j, cols in enumerate(combos):
+        sub = g[:, cols]
+        out[:, j] = np.linalg.det(sub[idx, :])
+    return out
+
+
+def _sorted_with_sign(seq):
+    """Sort distinct indices, returning (tuple, permutation sign)."""
+    s = list(seq)
+    inv = sum(
+        1 for a in range(len(s)) for b in range(a + 1, len(s)) if s[a] > s[b]
+    )
+    return tuple(sorted(s)), (-1 if inv % 2 else 1)
+
+
+def wedge_infinitesimal(x, p):
+    """Derived representation: v1^...^vp -> sum_i v1^...^X vi^...^vp."""
+    x = as_square_matrix(x, "X")
+    n = x.shape[0]
+    combos = wedge_basis(n, p)
+    pos = {c: i for i, c in enumerate(combos)}
+    out = np.zeros((len(combos), len(combos)))
+    for j, cols in enumerate(combos):
+        colset = set(cols)
+        for i, ji in enumerate(cols):
+            for k in range(n):
+                if k == ji:
+                    out[j, j] += x[ji, ji]
+                    continue
+                if k in colset:
+                    continue
+                replaced = list(cols)
+                replaced[i] = k
+                target, sign = _sorted_with_sign(replaced)
+                out[pos[target], j] += sign * x[k, ji]
+    return out
+
+
+def plucker_embed(basis):
+    """Projectivized wedge of a subspace basis, in lexicographic wedge
+    coordinates: coordinate I is det(B[I, :]).
+
+    Accepts a Flag (top subspace is used: pass ``flag.subspace(i)`` for a
+    specific level) or an n x p basis matrix.  Equivariant: the class of
+    i(gV) equals rho(g) i(V).
+    """
+    if isinstance(basis, Flag):
+        basis = basis.subspace(len(basis.dims.dims) - 1)
+    b = np.asarray(basis, dtype=float)
+    n, p = b.shape
+    if not 1 <= p <= n - 1:
+        raise InputError(f"subspace dimension {p} outside 1..{n - 1}")
+    idx = np.array(wedge_basis(n, p))
+    return ProjectivePoint(np.linalg.det(b[idx, :]))
 
 
 def _fmt_float_reference(x):
@@ -754,3 +855,14 @@ def integrate_fundamental_extended(coef, steps):
         samples.append(g)
     return np.array(samples)
 
+
+def skew_step(fund, fd, s, x, t):
+    """One move of the skew-product flow over the circle R / (mT)Z:
+    (s, x) -> (s + t, rho_s(t) x) with rho_s(t) = g(t + s) g(s)^(-1)."""
+    rho = fund.at(s + t) @ np.linalg.inv(fund.at(s))
+    s_new = (s + t) % fd.skew_period
+    if isinstance(x, ProjectivePoint):
+        return s_new, ProjectivePoint(rho @ x.rep)
+    if isinstance(x, Flag):
+        return s_new, Flag(orthonormalize_reference(rho @ x.basis), x.dims)
+    raise InputError("skew_step moves ProjectivePoint or Flag values")

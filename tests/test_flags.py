@@ -12,19 +12,15 @@ from jordanflow import (
     additive_jordan,
     bruhat_cell,
     classify_flow,
-    component_dimensions,
     enumerate_morse_components,
     flag_recurrent_membership,
     height_lyapunov,
     matrix_exp,
     multiplicative_jordan,
-    plucker_embed,
     rate_filtration,
     simulate_flag,
     stable_set_index,
     unstable_bruhat_cell,
-    wedge_infinitesimal,
-    wedge_representation,
 )
 from jordanflow import flags
 from jordanflow.errors import IllConditioned, InvariantViolated, RankAmbiguous
@@ -42,6 +38,9 @@ from oracles import (
     greedy_assignment_reference,
     height_lyapunov_reference,
     pair_counts_bruteforce,
+    plucker_embed,
+    wedge_infinitesimal,
+    wedge_representation,
 )
 from systems import E1, E2, E3, x1, x4, x5
 
@@ -65,6 +64,15 @@ class TestFlagType:
             FlagType((2, 2))
         with pytest.raises(InputError):
             FlagType((3, 1))
+
+    @pytest.mark.parametrize("dims", [(1.5,), (True,), (1, 2.0), 3, None])
+    def test_non_integer_or_non_sequence_rejected(self, dims):
+        with pytest.raises(InputError):
+            FlagType(dims)
+
+    def test_numpy_integers_accepted(self):
+        dims = FlagType(np.array([1, 3])).dims
+        assert dims == (1, 3) and all(type(d) is int for d in dims)
 
     def test_must_be_proper(self):
         with pytest.raises(InputError):
@@ -185,19 +193,30 @@ class TestEnumerate:
             dims = (1,)
         increments = FlagType(dims).increments(n)
         brute = contingency_tables_bruteforce(list(increments), mults)
-        rates = sorted([float(r.normal()) for _ in range(k)], reverse=True)
-        for t in brute:
-            dc, du, ds = component_dimensions(t, rates)
+        rates = tuple(sorted([float(r.normal()) for _ in range(k)], reverse=True))
+        comps = enumerate_morse_components(_filtration(n, tuple(mults), rates), dims)
+        assert sorted(c.assignment for c in comps) == sorted(brute)
+        for c in comps:
+            dc, du, ds = c.dim_component, c.dim_unstable, c.dim_stable
             assert dc + du + ds == FlagType(dims).manifold_dimension(n)
+
+
+def enumerated_dimensions(table, rates, dims):
+    """(component, unstable, stable) dimensions of the enumerated component
+    with this table, over the standard frame with the table's margins."""
+    mults = tuple(map(sum, zip(*table)))
+    comps = enumerate_morse_components(_filtration(sum(mults), mults, rates), dims)
+    c = next(c for c in comps if c.assignment == table)
+    return c.dim_component, c.dim_unstable, c.dim_stable
 
 
 class TestComponentDimensions:
     def test_attractor_projective_case(self):
         # H = diag(2,-1,-1), P^2: attractor [e3] has its whole complement stable
-        assert component_dimensions(((1, 0), (0, 2)), (2.0, -1.0)) == (0, 0, 2)
+        assert enumerated_dimensions(((1, 0), (0, 2)), (2.0, -1.0), (1,)) == (0, 0, 2)
 
     def test_repeller_projective_case(self):
-        assert component_dimensions(((0, 1), (1, 1)), (2.0, -1.0)) == (1, 1, 0)
+        assert enumerated_dimensions(((0, 1), (1, 1)), (2.0, -1.0), (1,)) == (1, 1, 0)
 
     def test_regular_identity_assignment(self):
         n = 4
@@ -205,7 +224,7 @@ class TestComponentDimensions:
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
         rates = (3.0, 1.0, -1.0, -3.0)
-        assert component_dimensions(table, rates) == (0, 0, n * (n - 1) // 2)
+        assert enumerated_dimensions(table, rates, (1, 2, 3)) == (0, 0, n * (n - 1) // 2)
 
 
 @st.composite
@@ -249,7 +268,8 @@ class TestPairCounts:
         for i, j in zip(rows, cols):
             table[i][j] += 1
         table = tuple(tuple(r) for r in table)
-        assert component_dimensions(table, rates) == pair_counts_bruteforce(table, rates)
+        counts = enumerated_dimensions(table, rates, dims)
+        assert counts == pair_counts_bruteforce(table, rates)
 
     @given(case=census_cases())
     @settings(max_examples=60, deadline=None)

@@ -18,21 +18,20 @@ from jordanflow import (
     enumerate_morse_components,
     floquet_data,
     floquet_generator,
-    floquet_lyapunov,
     floquet_morse_components,
     height_lyapunov,
     integrate_fundamental,
     matrix_exp,
     periodic_factor,
-    projective_distance,
     rate_filtration,
-    skew_step,
 )
 from jordanflow.flags import random_flag
 from oracles import (
     _coefficient_value_reference,
     integrate_fundamental_extended,
     integrate_fundamental_reference,
+    projective_distance,
+    skew_step,
 )
 from systems import E1, E2, E3, x1, x4
 
@@ -103,6 +102,17 @@ class TestPeriodicCoefficient:
         harm = tuple((k, ZERO3, ZERO3) for k in range(1, 18))
         with pytest.raises(InputError):
             PeriodicCoefficient(period=1.0, a0=x4(1, 2), harmonics=harm)
+
+    @pytest.mark.parametrize(
+        "harmonics", [((1.5, ZERO3, ZERO3),), ((True, ZERO3, ZERO3),), 5, None]
+    )
+    def test_harmonic_index_integer_and_harmonics_a_sequence(self, harmonics):
+        with pytest.raises(InputError):
+            PeriodicCoefficient(1.0, x4(1, 2), harmonics)
+
+    def test_numpy_integer_harmonic_index_accepted(self):
+        coef = PeriodicCoefficient(1.0, x4(1, 2), ((np.int64(2), ZERO3, ZERO3),))
+        assert type(coef.harmonics[0][0]) is int
 
     def test_period_positive(self):
         with pytest.raises(InputError):
@@ -639,7 +649,8 @@ class TestFloquetMorse:
         fund = integrate_fundamental(coef, 1024)
         fd = floquet_data(fund)
         f = Flag(np.stack([E1 + E3, E2], axis=1), (1, 2))
-        assert floquet_lyapunov(fd, 0.0, f) == pytest.approx(
+        pulled = Flag(np.linalg.solve(fd.a(0.0), f.basis), f.dims)
+        assert height_lyapunov(pulled, fd.dec.H) == pytest.approx(
             height_lyapunov(f, fd.dec.H), abs=1e-9
         )
 
@@ -652,7 +663,8 @@ class TestFloquetMorse:
             s = float(rng.uniform(0, 1))
             vals = []
             for _ in range(30):
-                vals.append(floquet_lyapunov(fd, s, f))
+                pulled = Flag(np.linalg.solve(fd.a(s), f.basis), f.dims)
+                vals.append(height_lyapunov(pulled, fd.dec.H))
                 s, f = skew_step(fund, fd, s, f, 0.5)
             assert all(b - a <= 1e-8 for a, b in zip(vals, vals[1:]))
 
@@ -664,6 +676,7 @@ class TestFloquetMorse:
         vals = []
         s, f = 0.0, Flag(fd.a(0.0) @ fix.basis, (1, 2))
         for _ in range(20):
-            vals.append(floquet_lyapunov(fd, s, f))
+            pulled = Flag(np.linalg.solve(fd.a(s), f.basis), f.dims)
+            vals.append(height_lyapunov(pulled, fd.dec.H))
             s, f = skew_step(fund, fd, s, f, 0.4)
         assert max(vals) - min(vals) < 1e-6

@@ -6,47 +6,44 @@ import pytest
 from jordanflow import (
     BranchObstruction,
     InputError,
-    NotElliptic,
     Singular,
     additive_jordan,
-    flow_at,
-    invariant_metric,
+    chain_oracle,
     matrix_exp,
     multiplicative_jordan,
     nilpotency_index,
     principal_log,
-    sn_decompose,
-    wedge_infinitesimal,
-    wedge_representation,
 )
-from jordanflow.errors import DimensionTooLarge
-from oracles import rotation_scale_exp
-from systems import random_sl, random_sl_alg, rotation, x1, x2, x4, x5
+from oracles import rotation_scale_exp, wedge_infinitesimal, wedge_representation
+from systems import random_sl, random_sl_alg, x1, x2, x4, x5
 
 E12 = np.zeros((3, 3))
 E12[0, 1] = 1.0
 
 
 class TestSNDecompose:
+    """The semisimple part E + H and the nilpotent part N."""
+
     def test_diagonal_is_semisimple(self):
-        s, n = sn_decompose(x1(1, 2))
-        assert np.allclose(s, x1(1, 2), atol=1e-12)
-        assert np.allclose(n, 0, atol=1e-12)
+        dec = additive_jordan(x1(1, 2))
+        assert np.allclose(dec.E + dec.H, x1(1, 2), atol=1e-12)
+        assert np.allclose(dec.N, 0, atol=1e-12)
 
     def test_jordan_block_is_nilpotent(self):
-        s, n = sn_decompose(x2())
-        assert np.allclose(s, 0, atol=1e-12)
-        assert np.allclose(n, x2(), atol=1e-12)
+        dec = additive_jordan(x2())
+        assert np.allclose(dec.E + dec.H, 0, atol=1e-12)
+        assert np.allclose(dec.N, x2(), atol=1e-12)
 
     def test_x5_split(self):
-        s, n = sn_decompose(x5(1.0))
-        assert np.allclose(s, np.diag([-1.0, -1.0, 2.0]), atol=1e-12)
-        assert np.allclose(n, E12, atol=1e-12)
+        dec = additive_jordan(x5(1.0))
+        assert np.allclose(dec.E + dec.H, np.diag([-1.0, -1.0, 2.0]), atol=1e-12)
+        assert np.allclose(dec.N, E12, atol=1e-12)
 
     def test_commutation_random(self, rng, pol):
         for _ in range(10):
             a = random_sl_alg(4, rng)
-            s, n = sn_decompose(a, pol)
+            dec = additive_jordan(a, pol)
+            s, n = dec.E + dec.H, dec.N
             assert np.allclose(a, s + n, atol=1e-10)
             assert np.linalg.norm(s @ n - n @ s) < 1e-8
 
@@ -167,14 +164,17 @@ class TestMultiplicativeJordan:
 
 
 class TestFlowAt:
+    """The flow g^t = exp(tX) and its factors exp(tE), exp(tH), exp(tN);
+    in discrete time g^t, e^t, exp(t logH) and exp(t log u)."""
+
     def test_time_zero_all_identity(self):
         dec = additive_jordan(x5(1.0))
-        for m in flow_at(0.0, dec):
-            assert np.allclose(m, np.eye(3), atol=1e-14)
+        for m in (dec.X, dec.E, dec.H, dec.N):
+            assert np.allclose(matrix_exp(0.0 * m), np.eye(3), atol=1e-14)
 
     def test_x5_spectral_mapping(self):
         dec = additive_jordan(x5(1.0))
-        gt, *_ = flow_at(1.0, dec)
+        gt = matrix_exp(dec.X)
         moduli = sorted(np.abs(np.linalg.eigvals(gt)))
         assert np.allclose(
             moduli, sorted([np.exp(-1), np.exp(-1), np.exp(2)]), rtol=1e-10
@@ -182,7 +182,7 @@ class TestFlowAt:
 
     def test_x4_commuting_exponentials(self):
         dec = additive_jordan(x4(1, 2))
-        gt, et, ht, ut = flow_at(2.0, dec)
+        gt, et, ht, ut = (matrix_exp(2.0 * m) for m in (dec.X, dec.E, dec.H, dec.N))
         assert np.allclose(gt, matrix_exp(2 * dec.E) @ matrix_exp(2 * dec.H), atol=1e-10)
         assert np.allclose(gt, et @ ht @ ut, atol=1e-10)
 
@@ -190,64 +190,23 @@ class TestFlowAt:
         g = random_sl(3, rng)
         dec = multiplicative_jordan(g, pol)
         for t in (1, 2, 5, -3):
-            gt, et, ht, ut = flow_at(t, dec)
+            gt = np.linalg.matrix_power(dec.g, t)
+            et = np.linalg.matrix_power(dec.e, t)
+            ht = matrix_exp(t * dec.logH)
+            ut = matrix_exp(t * dec.log_u())
             assert np.allclose(gt, et @ ht @ ut, atol=1e-8)
 
     def test_discrete_requires_integer_time(self, rng, pol):
         dec = multiplicative_jordan(random_sl(3, rng), pol)
         with pytest.raises(InputError):
-            flow_at(0.5, dec)
+            chain_oracle(dec, 64, 0.1, 0.5, pol)
 
     def test_flow_homomorphism_factorwise(self, pol):
         dec = additive_jordan(x4(1, 2), pol)
         for s, t in [(0.5, 1.5), (2.0, -1.0)]:
-            a = flow_at(s + t, dec)
-            b = flow_at(s, dec)
-            c = flow_at(t, dec)
-            for m_ab, m_b, m_c in zip(a, b, c):
-                assert np.allclose(m_ab, m_b @ m_c, atol=1e-9)
-
-
-class TestInvariantMetric:
-    def test_identity(self):
-        m = invariant_metric(np.eye(3)).gram
-        assert np.allclose(m, np.eye(3), atol=1e-12)
-
-    def test_plain_rotation_gives_euclidean(self):
-        m = invariant_metric(rotation(0.7)).gram
-        assert np.allclose(m, np.eye(2), atol=1e-10)
-
-    def test_conjugated_rotation_congruence_oracle(self):
-        c = np.array([[1.0, 1], [0, 1]])
-        e = c @ rotation(0.9) @ np.linalg.inv(c)
-        m = invariant_metric(e).gram
-        target = np.linalg.inv(c @ c.T)
-        # canonical up to a positive scale per invariant plane
-        ratio = m / target
-        assert np.allclose(ratio, ratio[0, 0], atol=1e-9)
-        assert ratio[0, 0] > 0
-
-    def test_isometry_property(self, rng, pol):
-        c = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
-        block = np.zeros((4, 4))
-        block[:2, :2] = rotation(0.3)
-        block[2:, 2:] = rotation(1.2)
-        e = c @ block @ np.linalg.inv(c)
-        metric = invariant_metric(e, pol)
-        et = np.eye(4)
-        einv = np.linalg.inv(e)
-        for t in range(1, 11):
-            et = et @ e
-            for mat in (et, np.linalg.matrix_power(einv, t)):
-                for _ in range(5):
-                    v = rng.normal(size=4)
-                    assert metric.norm(mat @ v) == pytest.approx(
-                        metric.norm(v), abs=1e-8
-                    )
-
-    def test_hyperbolic_rejected(self):
-        with pytest.raises(NotElliptic):
-            invariant_metric(np.diag([2.0, 0.5]))
+            for m in (dec.X, dec.E, dec.H, dec.N):
+                lhs = matrix_exp((s + t) * m)
+                assert np.allclose(lhs, matrix_exp(s * m) @ matrix_exp(t * m), atol=1e-9)
 
 
 class TestWedge:
@@ -290,10 +249,6 @@ class TestWedge:
         index = next(k for k, p in enumerate(powers, start=1) if np.allclose(p, 0, atol=1e-12))
         assert index <= 2 * 2
 
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            wedge_representation(np.eye(14), 7)
-
     def test_jordan_wedge_compatibility(self, rng, pol):
         g = random_sl(4, rng, spread=0.7)
         dec = multiplicative_jordan(g, pol)
@@ -307,5 +262,5 @@ class TestWedge:
 class TestSpectralRadiusFlow:
     def test_radius_of_flow(self):
         dec = additive_jordan(x5(1.0))
-        gt, *_ = flow_at(3.0, dec)
+        gt = matrix_exp(3.0 * dec.X)
         assert max(abs(np.linalg.eigvals(gt))) == pytest.approx(np.exp(6.0), rel=1e-9)

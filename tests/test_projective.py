@@ -22,15 +22,12 @@ from jordanflow import (
     chain_oracle,
     chain_recurrent_membership,
     flag_recurrent_membership,
-    invariant_metric,
     matrix_exp,
     multiplicative_jordan,
-    projective_distance,
     rate_filtration,
     recurrent_membership,
     simulate_projective,
     stable_set_index,
-    unipotent_limit,
     unstable_set_index,
 )
 from jordanflow import projective
@@ -44,6 +41,7 @@ from jordanflow.projective import (
     projective_grid,
 )
 import oracles
+from oracles import projective_distance, unipotent_limit
 from systems import E1, E2, E3, random_sl, random_sl_alg, rotation, x2, x4, x5
 from test_flags import planted_near_threshold_flag
 
@@ -67,8 +65,6 @@ class TestProjectivePoint:
         assert hash(p) == hash(q)
         # arbitrary rescaling agrees to rounding
         r = ProjectivePoint(-2.5 * np.asarray(v))
-        from jordanflow import projective_distance
-
         assert projective_distance(p, r) < 1e-12
         first = next(x for x in p.rep if abs(x) > 1e-12)
         assert first > 0
@@ -102,20 +98,6 @@ class TestProjectiveDistance:
         assert dpq == pytest.approx(projective_distance(q, p))
         assert dpq <= math.sqrt(2) + 1e-12
         assert dpq <= projective_distance(p, s) + projective_distance(s, q) + 1e-9
-
-    def test_invariant_metric_makes_elliptic_isometric(self, rng, pol):
-        c = np.eye(3)
-        c[0, 1] = 0.8
-        e = c @ (np.block([[rotation(0.5), np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])) @ np.linalg.inv(c)
-        metric = invariant_metric(e, pol)
-        for _ in range(20):
-            p = ProjectivePoint(rng.normal(size=3))
-            q = ProjectivePoint(rng.normal(size=3))
-            d0 = projective_distance(p, q, metric)
-            d1 = projective_distance(
-                ProjectivePoint(e @ p.rep), ProjectivePoint(e @ q.rep), metric
-            )
-            assert d1 == pytest.approx(d0, abs=1e-9)
 
 
 class TestMorseComponents:
@@ -418,7 +400,7 @@ class TestSimulate:
         for mat in (x4(1, 2), x5(1.0), x1_like(rng)):
             dec = additive_jordan(mat, pol)
             filt = rate_filtration(dec, pol)
-            g1, *_ = matrix_and_factors(dec)
+            g1 = matrix_exp(dec.X)
             for basis in filt.eigenspaces:
                 img = g1 @ basis
                 resid = img - basis @ (basis.T @ img)
@@ -471,12 +453,6 @@ def x1_like(rng):
     from systems import x1
 
     return x1(1.0, 2.0)
-
-
-def matrix_and_factors(dec):
-    from jordanflow import flow_at
-
-    return flow_at(1.0, dec) if dec.continuous else flow_at(1, dec)
 
 
 class TestChainOracle:
