@@ -264,6 +264,8 @@ def _substeps(dec, dt):
     if continuous:
         need = abs(dt) * spread / 15.0
     else:
+        if float(dt) != int(dt):
+            raise InputError("discrete flow needs integer time steps")
         dt = int(dt)
         need = abs(dt) / max(1, int(15.0 / max(spread, 1e-9)))
     if need > SUBSTEP_BUDGET:

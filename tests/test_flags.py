@@ -681,6 +681,19 @@ class TestSimulateFlag:
         simulate_flag(dec, f0, [1, 2, 5, -3])
         assert calls == []
 
+    def test_discrete_refuses_non_integer_time(self, rng):
+        dec = multiplicative_jordan(matrix_exp(x4(1, 2)))
+        f0 = random_flag(3, (1, 2), rng)
+        with pytest.raises(InputError, match="integer time"):
+            simulate_flag(dec, f0, [1.7])
+
+    def test_discrete_integer_valued_float_is_the_integer(self, rng):
+        dec = multiplicative_jordan(matrix_exp(x4(1, 2)))
+        f0 = random_flag(3, (1, 2), rng)
+        got = simulate_flag(dec, f0, [1.0, 2.0, -3.0])
+        want = simulate_flag(dec, f0, [1, 2, -3])
+        assert all(np.array_equal(a.basis, b.basis) for a, b in zip(got, want))
+
 
 class TestSimulationCheck:
     @pytest.mark.parametrize("mat", [x1(1, 2), x4(1, 2), x5(1.0)], ids=["x1", "x4", "x5"])
@@ -717,6 +730,78 @@ class TestSimulationCheck:
             assert comp == comp_ref and defect == defect_ref
         assert (forward, reverse) == (10, 10)
         assert worst == max(d for *_, d in want) <= 1e-6
+
+
+class TestHeightFrameMemo:
+    """``height_lyapunov`` keeps the rate frame of the last H it factored:
+    one entry, keyed by H's bytes and the policy."""
+
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        """Every factorization ``height_lyapunov`` runs, by the H it gets."""
+        seen = []
+        spectrum = flags.complex_spectrum
+
+        def counted(a, pol=None):
+            seen.append(np.array(a))
+            return spectrum(a, pol)
+
+        monkeypatch.setattr(flags, "complex_spectrum", counted)
+        return seen
+
+    def test_one_h_is_factored_once(self, spectra, rng, pol):
+        flags._h_frame.cache_clear()
+        dec = additive_jordan(x4(1, 2), pol)
+        traj = simulate_flag(dec, random_flag(3, (1, 2), rng), np.arange(1.0, 11.0))
+        for f in [traj[0], *traj]:
+            got = height_lyapunov(f, dec.H, pol)
+            assert float.hex(got) == float.hex(height_lyapunov_reference(f, dec.H, pol))
+        assert len(spectra) == 1
+        assert np.array_equal(spectra[0], dec.H)
+
+    def test_alternating_hs_factor_every_call(self, spectra, rng, pol):
+        flags._h_frame.cache_clear()
+        hs = [additive_jordan(x4(1, 2), pol).H, additive_jordan(x1(1, 2), pol).H]
+        for i in range(6):
+            f = random_flag(3, (1, 2), rng)
+            h = hs[i % 2]
+            got = height_lyapunov(f, h, pol)
+            assert float.hex(got) == float.hex(height_lyapunov_reference(f, h, pol))
+        assert len(spectra) == 6
+
+    def test_policy_is_part_of_the_key(self, spectra, rng, pol):
+        flags._h_frame.cache_clear()
+        h = additive_jordan(x4(1, 2), pol).H
+        f = random_flag(3, (1, 2), rng)
+        height_lyapunov(f, h, pol)
+        height_lyapunov(f, h, dataclasses.replace(pol, cluster_tol=1e-6))
+        height_lyapunov(f, h, dataclasses.replace(pol, cluster_tol=1e-6))
+        assert len(spectra) == 2
+
+    def test_key_is_the_content_not_the_object(self, spectra, rng, pol):
+        flags._h_frame.cache_clear()
+        h = additive_jordan(x4(1, 2), pol).H.copy()
+        f = random_flag(3, (1, 2), rng)
+        before = height_lyapunov(f, h, pol)
+        h *= 2.0
+        after = height_lyapunov(f, h, pol)
+        assert len(spectra) == 2
+        assert float.hex(after) == float.hex(height_lyapunov_reference(f, h, pol))
+        assert after != before
+
+    @pytest.mark.parametrize(
+        "h, factored",
+        [(np.diag([1.0, np.nan, 0.0]), 0), (np.ones((3, 2)), 0), (np.eye(13), 3)],
+        ids=["non-finite", "not-square", "refused-by-the-factorization"],
+    )
+    def test_refused_h_raises_every_call(self, spectra, rng, pol, h, factored):
+        flags._h_frame.cache_clear()
+        f = random_flag(h.shape[0], (1,), rng)
+        for _ in range(3):
+            with pytest.raises(InputError):
+                height_lyapunov(f, h, pol)
+        assert len(spectra) == factored
+        assert flags._h_frame.cache_info().currsize == 0
 
 
 class TestHeightLyapunov:

@@ -414,6 +414,20 @@ class TestSimulate:
                 assert filt.distances(end_f.rep)[i_fwd, 0] < pol.sim_tol
                 assert filt.distances(end_b.rep)[i_bwd, 0] < pol.sim_tol
 
+    @pytest.mark.parametrize("times", [[0.5], [1.7], [2, 2.5]])
+    def test_discrete_refuses_non_integer_time(self, times):
+        dec = multiplicative_jordan([[2, 1], [0, 0.5]])
+        with pytest.raises(InputError, match="integer time"):
+            simulate_projective(dec, ProjectivePoint([1.0, 1.0]), times)
+
+    def test_discrete_integer_valued_float_is_the_integer(self):
+        dec = multiplicative_jordan([[2, 1], [0, 0.5]])
+        p = ProjectivePoint([1.0, 1.0])
+        got = simulate_projective(dec, p, [2.0, -1.0])
+        want = simulate_projective(dec, p, [2, -1])
+        assert all(np.array_equal(a.rep, b.rep) for a, b in zip(got, want))
+        assert not np.array_equal(got[0].rep, p.rep)
+
     def test_decay_lemma(self, rng):
         # spectral radius < 1 forces |g^t| -> 0; the horizon for a 1e-6 drop
         # scales with log r (r = 0.8 needs ~40 more steps than r = 0.5)
