@@ -40,10 +40,9 @@ from .floquet import (
     floquet_data,
     floquet_morse_components,
     integrate_fundamental,
-    periodic_factor,
 )
 from .jordan import additive_jordan, multiplicative_jordan
-from .matrixcore import TolerancePolicy, matrix_exp, opnorm
+from .matrixcore import TolerancePolicy
 from .projective import (
     SUBSTEP_BUDGET,
     ProjectivePoint,
@@ -441,12 +440,6 @@ def cmd_floquet(args):
     fund = integrate_fundamental(coef, args.steps)
     fd = floquet_data(fund, pol)
 
-    samples = np.linspace(0.0, 3.0 * fd.skew_period, 64)
-    recon = max(
-        opnorm(fund.at(t) - periodic_factor(fund, fd, t) @ matrix_exp(t * fd.X))
-        for t in samples
-    )
-
     components = eigen_rates = None
     if dims is not None:
         cls = floquet_morse_components(fd, dims, pol).classification
@@ -467,7 +460,7 @@ def cmd_floquet(args):
         },
         "residuals": {
             "generator": fd.generator_residual,
-            "reconstruction": float(recon),
+            "reconstruction": fund.dense_output_residual(),
             "det_drift": fund.det_drift,
             "integration_error": fund.error_estimate,
         },

@@ -195,30 +195,11 @@ class FlagMorseComponent:
         return self.dim_stable == 0
 
 
-def _faster_slots(rates):
-    """Map slot counts per cluster to F, F_j the slots in clusters strictly
-    faster than cluster j: ties count as slower, so their pairs are stable."""
-    if all(a > b for a, b in zip(rates, rates[1:])):
-        # strictly decreasing rates: the clusters faster than j are those before it
-        def faster(below):
-            return accumulate(below, initial=0)
-    else:
-        # prefix sums in decreasing rate order, read at the number of
-        # clusters strictly faster than j
-        order = sorted(range(len(rates)), key=lambda j: -rates[j])
-        ahead = [sum(r > x for r in rates) for x in rates]
-
-        def faster(below):
-            prefix = list(accumulate([below[j] for j in order], initial=0))
-            return [prefix[a] for a in ahead]
-
-    return faster
-
-
-def _census(row_sums, col_sums, rates):
+def _census(row_sums, col_sums):
     """All nonnegative integer matrices with the given margins, in
     lexicographic order, with their pair counts: four lists (tables,
-    component, unstable, stable dimensions).
+    component, unstable, stable dimensions).  The columns are clusters in
+    strictly decreasing rate order.
 
     One recursion over rows, memoized on (row index, remaining column sums),
     i.e. on the capacities the rows above have used.  A first row is a point
@@ -227,11 +208,10 @@ def _census(row_sums, col_sums, rates):
     2^n points.  After a first row f the remaining column sums ``below`` are
     the slots of each cluster in later increments, so the row adds the exact
     integers c = sum_j f_j below_j (same cluster), u = sum_j f_j F_j with F_j
-    the ``below`` slots of the clusters faster than j, and s = row sum *
-    sum(below) - c - u (slower clusters and ties); every tail below one
+    the ``below`` slots of the columns before j (the faster clusters), and
+    s = row sum * sum(below) - c - u (slower clusters); every tail below one
     state shares its counts.
     """
-    faster = _faster_slots(rates)
     last = len(row_sums) - 1
     memo = {}
 
@@ -250,7 +230,7 @@ def _census(row_sums, col_sums, rates):
                 continue
             below = tuple(map(sub, rem, row))
             c = sum(map(mul, row, below))
-            u = sum(map(mul, row, faster(below)))
+            u = sum(map(mul, row, accumulate(below, initial=0)))
             s = pairs - c - u
             if i + 1 == last:  # the last row is ``below`` itself
                 tables.append((row, below))
@@ -277,19 +257,22 @@ def enumerate_morse_components(filt, dims, pol=None):
     cluster multiplicities (the double-coset count for the symmetric group),
     listed in lexicographic order.  One recursion over the rows, memoized on
     the column capacities the earlier rows used, lists the tables and carries
-    each row's pair counts (``_census``).  The rates of a filtration are
-    distinct, so exactly one table has no unstable pair, the attractor
+    each row's pair counts (``_census``).  The rates of a filtration strictly
+    decrease, so exactly one table has no unstable pair, the attractor
     (largest rates in the earliest increments), and exactly one has no stable
-    pair, the repeller.  Every table's three dimensions must sum to the
-    manifold dimension; ``InvariantViolated`` otherwise.
+    pair, the repeller.  Rates that do not strictly decrease, and a table
+    whose three dimensions miss the manifold dimension, raise
+    ``InvariantViolated``.
     """
     pol = pol or DEFAULT_POLICY
     if not isinstance(filt, RateFiltration):
         filt = rate_filtration(filt, pol)
+    if not all(a > b for a, b in zip(filt.rates, filt.rates[1:])):
+        raise InvariantViolated(f"filtration rates {filt.rates} do not strictly decrease")
     if not isinstance(dims, FlagType):
         dims = FlagType(dims)
     dims.validate_for(filt.n)
-    census = _census(dims.increments(filt.n), filt.mults, filt.rates)
+    census = _census(dims.increments(filt.n), filt.mults)
     total = dims.manifold_dimension(filt.n)
     if any(c + u + s != total for c, u, s in zip(*census[1:])):
         raise InvariantViolated(

@@ -179,6 +179,21 @@ class FundamentalSolution:
             return g_tau
         return g_tau @ np.linalg.matrix_power(self.monodromy, k)
 
+    def dense_output_residual(self):
+        """Largest 2-norm gap between the dense output ``at`` and one RK4
+        half step from the sample below, at the midpoints of 64 evenly spread
+        grid steps (``MIN_STEPS`` keeps them distinct).  A midpoint is where
+        the cubic-Hermite error peaks; at a grid point the gap is always 0.
+        The half step is the one the step-halving estimate forms."""
+        n, h = self.coefficient.n, self.period / self.steps
+        idx = np.arange(64) * (self.steps - 1) // 63
+        t = idx * h
+        times = (t + (h / 4) * np.arange(3)[:, None]).ravel()
+        x0, xq, xm = self.coefficient.table(times).reshape(3, 64, n, n)
+        half = _rk4_matrices(x0, xq, xm, h / 2) @ self.samples[idx]
+        dense = np.stack([self.at(s) for s in (t + h / 2).tolist()])
+        return float(np.max(np.linalg.norm(dense - half, 2, axis=(1, 2))))
+
 
 def _rk4_matrices(x0, xm, x1, dt):
     """The RK4 step matrices I + (dt/6)(K1 + 2 K2 + 2 K3 + K4) of g' = X g,

@@ -779,6 +779,21 @@ class TestFloquetCmd:
         rep = json.loads(out.read_text())
         assert rep["m"] == 2
 
+    def test_reconstruction_reads_the_dense_output(self, tmp_path):
+        """Rates +-5: the dense output is within 2.2e-10 of the integrator,
+        although the identity g(t) = a(t) e^{tX} carries 8.1e-6 of
+        exponential round-off over [0, 3T].  The other residuals are pinned:
+        reading ``reconstruction`` off the solution changes nothing else."""
+        doc = {"T": 1.0, "A0": [[5.0, 1.0], [0.0, -5.0]], "harmonics": []}
+        f = self.write_periodic(tmp_path / "stiff.json", doc)
+        out = tmp_path / "out.json"
+        assert main(["floquet", str(f), "--steps", "1024", "--flag", "1", "-o", str(out)]) == 0
+        res = json.loads(out.read_text())["residuals"]
+        assert res["reconstruction"] <= 1e-9
+        assert (res["generator"], res["det_drift"], res["integration_error"]) == (
+            4.055982489698596e-12, 2.2737367544323206e-13, 4.3466117873037425e-11
+        )
+
     def test_generator_never_calls_logm(self, tmp_path, monkeypatch):
         import scipy.linalg
 

@@ -230,22 +230,26 @@ class TestComponentDimensions:
 @st.composite
 def census_cases(draw):
     """(n, flag dims, cluster multiplicities, cluster rates) for n <= 7.
-    Rates come from a small integer pool, unsorted, so equal rates in
-    different columns (ties) occur."""
+    Rates are distinct integers in decreasing order, as in a rate
+    filtration."""
     n = draw(st.integers(2, 7))
     cuts = draw(st.sets(st.integers(1, n - 1), min_size=1))
     dims = tuple(sorted(cuts))
     col_cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
     mults = tuple(b - a for a, b in zip([0, *col_cuts], [*col_cuts, n]))
-    rates = tuple(
-        draw(st.lists(st.integers(-3, 3).map(float), min_size=len(mults), max_size=len(mults)))
+    return n, dims, mults, draw(decreasing_rates(len(mults), 3))
+
+
+def decreasing_rates(k, bound):
+    """k distinct integer rates in [-bound, bound], as strictly decreasing floats."""
+    return st.sets(st.integers(-bound, bound), min_size=k, max_size=k).map(
+        lambda s: tuple(float(r) for r in sorted(s, reverse=True))
     )
-    return n, dims, mults, rates
 
 
 def _filtration(n, mults, rates):
     """A RateFiltration over the standard frame with the given clusters; it
-    is built directly so that tied rates can be tested."""
+    is built directly so that any rates can be given."""
     eye = np.eye(n)
     starts = np.cumsum([0, *mults])
     blocks = tuple(eye[:, a:b] for a, b in zip(starts, starts[1:]))
@@ -292,7 +296,14 @@ class TestPairCounts:
         ],
     )
     def test_full_flag_n7_matches_oracle(self, rates):
-        comps = enumerate_morse_components(_filtration(7, (1,) * 7, rates), range(1, 7))
+        """Strictly decreasing rates are counted as the oracle counts; tied
+        and unsorted ones are refused."""
+        filt = _filtration(7, (1,) * 7, rates)
+        if not all(a > b for a, b in zip(rates, rates[1:])):
+            with pytest.raises(InvariantViolated, match="strictly decrease"):
+                enumerate_morse_components(filt, range(1, 7))
+            return
+        comps = enumerate_morse_components(filt, range(1, 7))
         assert len(comps) == 5040
         for c in comps:
             assert (c.dim_component, c.dim_unstable, c.dim_stable) == (
@@ -314,11 +325,11 @@ class TestTableOrder:
         cols = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
         # the brute force scans this many candidate tables
         assume(math.prod(min(r, c) + 1 for r in rows for c in cols) <= 20_000)
-        tables = _census(rows, cols, (0.0,) * len(cols))[0]
+        tables = _census(rows, cols)[0]
         assert list(tables) == sorted(contingency_tables_bruteforce(rows, cols))
 
     def test_full_flag_n7_sorted(self):
-        tables = list(_census([1] * 7, [1] * 7, (0.0,) * 7)[0])
+        tables = list(_census([1] * 7, [1] * 7)[0])
         assert len(set(tables)) == len(tables) == 5040
         assert tables == sorted(tables)
 
@@ -326,18 +337,15 @@ class TestTableOrder:
 @st.composite
 def census_margins(draw):
     """(n, flag dims, cluster multiplicities, cluster rates) for n <= 8 whose
-    brute-force table scan stays small.  Rates come from a small integer
-    pool, unsorted, so repeated rates in different columns occur."""
+    brute-force table scan stays small.  Rates are distinct integers in
+    decreasing order, as in a rate filtration."""
     n = draw(st.integers(2, 8))
     dims = tuple(sorted(draw(st.sets(st.integers(1, n - 1), min_size=1))))
     col_cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
     mults = tuple(b - a for a, b in zip([0, *col_cuts], [*col_cuts, n]))
     increments = FlagType(dims).increments(n)
     assume(math.prod(min(r, c) + 1 for r in increments for c in mults) <= 20_000)
-    rates = tuple(
-        draw(st.lists(st.integers(-2, 2).map(float), min_size=len(mults), max_size=len(mults)))
-    )
-    return n, dims, mults, rates
+    return n, dims, mults, draw(decreasing_rates(len(mults), 4))
 
 
 class TestCensusRecursion:
@@ -370,9 +378,13 @@ class TestCensusRecursion:
         ],
     )
     def test_sorted_and_general_rate_orders(self, rates):
-        """Strictly decreasing rates take the prefix-sum shortcut; any other
-        order (and ties) the general one."""
-        self.check_against_oracles(5, (1, 3), (1, 2, 1, 1), rates)
+        """Strictly decreasing rates are counted as the oracles count; any
+        other order, ties included, is refused rather than miscounted."""
+        if all(a > b for a, b in zip(rates, rates[1:])):
+            self.check_against_oracles(5, (1, 3), (1, 2, 1, 1), rates)
+            return
+        with pytest.raises(InvariantViolated, match="strictly decrease"):
+            enumerate_morse_components(_filtration(5, (1, 2, 1, 1), rates), (1, 3))
 
     def test_dimension_sum_certificate(self, monkeypatch):
         """A table whose three dimensions miss the manifold dimension is

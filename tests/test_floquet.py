@@ -77,6 +77,25 @@ def random_coefficient(rng, n, harmonics, period, scale=1.0):
     )
 
 
+#: (n, harmonics, steps) of the benchmark's floquet shapes; ``harmonics``
+#: None is a rotation by pi in the first plane (m = 2)
+BENCHMARK_SHAPES = [
+    (2, 0, 1024), (2, 1, 2048), (2, None, 2048), (3, 0, 1024), (3, 2, 2048),
+    (3, 3, 2048), (3, None, 2048), (4, 1, 4096), (4, 3, 1024),
+]
+
+
+def benchmark_coefficient(n, harmonics, steps):
+    """One coefficient of a ``BENCHMARK_SHAPES`` shape, seeded by the shape."""
+    if harmonics is None:
+        x0 = np.zeros((n, n))
+        x0[0, 1], x0[1, 0] = -math.pi, math.pi
+        x0[2:, 2:] += 0.4 * np.eye(n - 2)
+        x0[:2, :2] -= 0.2 * (n - 2) * np.eye(2)
+        return PeriodicCoefficient(1.0, x0, ((1, 0.4 * x0, np.zeros((n, n))),))
+    return random_coefficient(np.random.default_rng([23, n, steps]), n, harmonics, 1.0)
+
+
 def generic_system(period=1.0):
     """Non-commuting trig-polynomial coefficients."""
     a1 = np.array([[0.0, 0.4, 0], [0, 0, 0], [0.2, 0, 0]])
@@ -501,6 +520,43 @@ class TestPeriodicFactor:
         assert max(jumps) < 0.1  # modulus of continuity at this sampling
 
 
+class TestDenseOutputResidual:
+    """``dense_output_residual`` compares the dense output with an RK4 half
+    step at grid-step midpoints, so a broken dense output shows in it.  The
+    identity g(t) = a(t) e^{tX} holds for any dense output, since a(t) is
+    defined from it, so it does not see the defects."""
+
+    #: the bound every benchmark floquet input meets
+    BAR = 1e-9
+
+    @pytest.mark.parametrize("n,harmonics,steps", BENCHMARK_SHAPES)
+    def test_planted_defects_are_seen(self, n, harmonics, steps, monkeypatch):
+        fund = integrate_fundamental(benchmark_coefficient(n, harmonics, steps), steps)
+        fd = floquet_data(fund)
+
+        def identity_gap():
+            return max(
+                np.linalg.norm(fund.at(t) - periodic_factor(fund, fd, t) @ matrix_exp(t * fd.X), 2)
+                for t in np.linspace(0.0, 3.0 * fd.skew_period, 8)
+            )
+
+        clean = fund.dense_output_residual()
+        assert clean <= self.BAR
+        hermite, at = fq._hermite, fq.FundamentalSolution.at
+        planted = {
+            # linear interpolation: the Hermite without its derivative terms
+            "_hermite": (fq, lambda g0, d0, g1, d1, h, th: hermite(g0, 0 * d0, g1, 0 * d1, h, th)),
+            # the samples of the grid step one index later
+            "at": (fq.FundamentalSolution, lambda self, t: at(self, t + self.period / self.steps)),
+        }
+        for name, (owner, defect) in planted.items():
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, defect)
+                value = fund.dense_output_residual()
+                assert identity_gap() <= 1e-6, name
+            assert value >= 1e3 * clean and value > self.BAR, name
+
+
 class TestSkewStep:
     def test_zero_time_identity(self):
         fund = integrate_fundamental(generic_system(), 512)
@@ -552,26 +608,13 @@ class TestFloquetMorse:
         assert len(fmd.components) == len(auto) == 3
         assert {c.assignment for c in fmd.components} == {c.assignment for c in auto}
 
-    @pytest.mark.parametrize(
-        "n,harmonics,steps",
-        [(2, 0, 1024), (2, 1, 2048), (2, None, 2048), (3, 0, 1024), (3, 2, 2048),
-         (3, 3, 2048), (3, None, 2048), (4, 1, 4096), (4, 3, 1024)],
-    )
+    @pytest.mark.parametrize("n,harmonics,steps", BENCHMARK_SHAPES)
     def test_census_is_the_generator_classification(self, n, harmonics, steps):
         """The benchmark's floquet shapes (``harmonics`` None: a rotation by pi
         in the first plane, m = 2): the census is classify_flow on the
         generator's decomposition, with the flag signature the benchmark
         passes, and lists what the enumerator lists."""
-        rng = np.random.default_rng([23, n, steps])
-        if harmonics is None:
-            x0 = np.zeros((n, n))
-            x0[0, 1], x0[1, 0] = -math.pi, math.pi
-            x0[2:, 2:] += 0.4 * np.eye(n - 2)
-            x0[:2, :2] -= 0.2 * (n - 2) * np.eye(2)
-            coef = PeriodicCoefficient(1.0, x0, ((1, 0.4 * x0, np.zeros((n, n))),))
-        else:
-            coef = random_coefficient(rng, n, harmonics, 1.0)
-        fd = floquet_data(integrate_fundamental(coef, steps))
+        fd = floquet_data(integrate_fundamental(benchmark_coefficient(n, harmonics, steps), steps))
         if harmonics is None:
             assert fd.m == 2
         dims = (1,) if n == 2 else (1, 2)

@@ -76,3 +76,31 @@ def test_unreached_name_is_found(tmp_path):
     )
     assert unreached_public_names(tmp_path, "") == ["only_tests"]
     assert unreached_public_names(tmp_path, "a.only_tests()") == []
+
+
+def matrixcore_imports(source):
+    """Names that ``source`` imports from ``jordanflow.matrixcore``; a
+    whole-module import counts as ``matrixcore``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "matrixcore":
+                names |= {a.name for a in node.names}
+            else:
+                names |= {a.name for a in node.names if a.name == "matrixcore"}
+        elif isinstance(node, ast.Import):
+            names |= {"matrixcore" for a in node.names if a.name.endswith("matrixcore")}
+    return names
+
+
+def test_cli_does_no_matrix_math():
+    """The CLI reads its certificates from library objects and re-implements
+    no library math: from ``matrixcore`` it takes the tolerance policy only."""
+    assert matrixcore_imports((LIBRARY / "cli.py").read_text()) <= {"TolerancePolicy"}
+
+
+def test_matrixcore_import_is_found():
+    assert matrixcore_imports(
+        "from .matrixcore import TolerancePolicy, matrix_exp\n"
+        "from . import matrixcore\nimport jordanflow.matrixcore\n"
+    ) == {"TolerancePolicy", "matrix_exp", "matrixcore"}
