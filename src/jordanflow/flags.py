@@ -103,12 +103,13 @@ class FlagType:
 
 
 def _orthonormalize(b):
-    """QR with positive diagonal; leading-column spans are preserved, so the
-    nested subspaces of a flag survive re-orthonormalization."""
+    """QR with positive diagonal, of one basis or of a stack of them;
+    leading-column spans are preserved, so the nested subspaces of a flag
+    survive re-orthonormalization."""
     q, r = np.linalg.qr(b)
-    sign = np.sign(np.diag(r))
+    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     sign[sign == 0] = 1.0
-    return q * sign
+    return q * sign[..., None, :]
 
 
 class Flag:
@@ -286,55 +287,66 @@ def enumerate_morse_components(filt, dims, pol=None):
 # Bruhat-cell classification by rank counting
 # ---------------------------------------------------------------------------
 
-def _rank_with_margin(mat, tol_scale, pol):
-    if mat.size == 0:
-        return 0, math.inf
-    sv = np.linalg.svd(mat, compute_uv=False)
-    thresh = pol.residual_tol * max(1.0, tol_scale)
-    rank = int(np.sum(sv > thresh))
-    margin = math.inf
-    for s in sv:
-        ratio = s / thresh if s > thresh else thresh / max(s, 1e-300)
-        margin = min(margin, ratio)
-    return rank, margin
-
-
-def _cell_assignment(flag, filt, pol, reverse=False):
-    """Contingency table of the cell containing the flag.
+def _rank_tables(bases, dims, filt, pol, reverse):
+    """Contingency tables of the cells containing a stack of flag bases
+    (K, n, d), with each flag's worst rank margin.
 
     Coordinates are taken in the rate frame; the rank of the leading
     coordinate rows of each subspace basis counts how much of the subspace
     is visible to the fast (largest-rates) filtration, which is what decides
     the omega-limit.  ``reverse`` classifies against the slow filtration
-    instead (alpha-limits, time reversal).  ``ranks[i, j]`` is the rank of
-    the first j blocks against subspace i; the table is its second
-    difference.
+    instead (alpha-limits, time reversal).  ``ranks[:, i, j]`` is the rank
+    of the first j blocks against subspace i, one stacked SVD per (i, j);
+    the table is its second difference.
     """
     order = slice(None, None, -1 if reverse else 1)
     mults = filt.mults[order]
-    y = np.linalg.solve(np.hstack(filt.blocks[order]), flag.basis)
-    scale = max(1.0, opnorm(y))
+    y = np.linalg.solve(np.hstack(filt.blocks[order]), bases)
+    scale = np.maximum(1.0, np.linalg.norm(y, 2, axis=(-2, -1)))
+    thresh = pol.residual_tol * scale[:, None]
     starts = np.cumsum((0, *mults))
-    ranks = np.zeros((len(flag.dims.dims) + 2, len(mults) + 1), dtype=int)
-    ranks[-1] = starts
-    worst_margin = math.inf
-    for i, d in enumerate(flag.dims.dims, start=1):
+    ranks = np.zeros((len(y), len(dims.dims) + 2, len(mults) + 1), dtype=int)
+    ranks[:, -1] = starts
+    margins = np.full(len(y), math.inf)
+    for i, d in enumerate(dims.dims, start=1):
         for j in range(1, len(mults) + 1):
-            ranks[i, j], margin = _rank_with_margin(y[: starts[j], :d], scale, pol)
-            worst_margin = min(worst_margin, margin)
-    if worst_margin < 5.0:
+            sv = np.linalg.svd(y[:, : starts[j], :d], compute_uv=False)
+            above = sv > thresh
+            ranks[:, i, j] = above.sum(axis=-1)
+            ratio = np.where(above, sv / thresh, thresh / np.maximum(sv, 1e-300))
+            margins = np.minimum(margins, ratio.min(axis=-1))
+    return np.diff(np.diff(ranks, axis=1), axis=2)[:, :, order], margins
+
+
+def _checked_table(table, margin):
+    """One flag's table as nested tuples, refused when a rank decision fell
+    within a factor of 5 of its threshold or the pattern is not monotone."""
+    if margin < 5.0:
         raise RankAmbiguous(
             "a Bruhat rank decision fell within a factor of 5 of its "
             "singular-value threshold",
-            margins={"worst_sigma_over_threshold": worst_margin},
+            margins={"worst_sigma_over_threshold": margin},
         )
-    table = np.diff(np.diff(ranks, axis=0), axis=1)[:, order]
     if (table < 0).any():
         raise IllConditioned(
             "rank pattern is not monotone; flag classification unreliable",
-            margins={"worst_sigma_over_threshold": worst_margin},
+            margins={"worst_sigma_over_threshold": margin},
         )
-    return tuple(map(tuple, table.tolist())), worst_margin
+    return tuple(map(tuple, table.tolist()))
+
+
+def _cell_assignment(flag, filt, pol, reverse=False):
+    """(table, worst rank margin) of the cell containing the flag."""
+    tables, margins = _rank_tables(flag.basis[None], flag.dims, filt, pol, reverse)
+    return _checked_table(tables[0], margins[0]), margins[0]
+
+
+def _component_index(table, index):
+    """The component a table names, through ``index`` (assignment -> index)."""
+    i = index.get(table)
+    if i is None:
+        raise IllConditioned(f"rank pattern {table} matches no Morse component")
+    return i
 
 
 def _cell_index(flag, dec, dims, pol, components, reverse):
@@ -345,10 +357,7 @@ def _cell_index(flag, dec, dims, pol, components, reverse):
     if components is None:
         components = enumerate_morse_components(filt, dims or flag.dims, pol)
     table, _ = _cell_assignment(flag, filt, pol, reverse)
-    for i, c in enumerate(components):
-        if c.assignment == table:
-            return i
-    raise IllConditioned(f"rank pattern {table} matches no Morse component")
+    return _component_index(table, {c.assignment: i for i, c in enumerate(components)})
 
 
 def _line(p):
@@ -390,6 +399,31 @@ def unstable_bruhat_cell(flag, dec, dims=None, pol=None, components=None):
 # membership, distance, simulation
 # ---------------------------------------------------------------------------
 
+def _defects(bases, dims, components, filt):
+    """``component_defect`` of each flag of a stack of bases (K, n, d)
+    against its component: one solve and one QR for the stack.  The sums stay
+    per flag, because batched reductions round differently."""
+    yo = _orthonormalize(np.linalg.solve(filt.transform, bases))
+    starts = filt.row_starts()
+    # the rate frame's block-diagonal model acts on each row by its rate
+    rates = filt.row_rates[:, None]
+    model_norm = max(1.0, max(abs(r) for r in filt.rates))
+    defects = []
+    for y, component in zip(yo, components):
+        cum = np.cumsum(component.assignment, axis=0)
+        worst = 0.0
+        for i, d in enumerate(dims.dims):
+            cols = y[:, :d]
+            for j in range(len(starts) - 1):
+                mass = float(np.sum(cols[starts[j] : starts[j + 1], :] ** 2))
+                worst = max(worst, abs(mass - cum[i, j]))
+            hv = rates * cols
+            resid = hv - cols @ (cols.T @ hv)
+            worst = max(worst, float(np.linalg.norm(resid)) / model_norm)
+        defects.append(worst)
+    return defects
+
+
 def component_defect(flag, component, filt):
     """How far the flag is from the component, as a convergence certificate.
 
@@ -397,25 +431,7 @@ def component_defect(flag, component, filt):
     cluster counts with the invariance residual of each subspace under the
     rate frame's block-diagonal model; both vanish exactly on the component.
     """
-    q = filt.transform
-    y = np.linalg.solve(q, flag.basis)
-    yo = _orthonormalize(y)
-    starts = filt.row_starts()
-    k = len(filt.mults)
-    cum = np.cumsum(component.assignment, axis=0)
-    worst = 0.0
-    # the rate frame's block-diagonal model acts on each row by its rate
-    rates = filt.row_rates[:, None]
-    model_norm = max(1.0, max(abs(r) for r in filt.rates))
-    for i, d in enumerate(flag.dims.dims):
-        cols = yo[:, :d]
-        for j in range(k):
-            mass = float(np.sum(cols[starts[j] : starts[j + 1], :] ** 2))
-            worst = max(worst, abs(mass - cum[i, j]))
-        hv = rates * cols
-        resid = hv - cols @ (cols.T @ hv)
-        worst = max(worst, float(np.linalg.norm(resid)) / model_norm)
-    return worst
+    return _defects(flag.basis[None], flag.dims, [component], filt)[0]
 
 
 def nearest_component(flag, components, filt):
@@ -427,27 +443,50 @@ def nearest_component(flag, components, filt):
     return i, defects[i]
 
 
+#: starts ``simulation_check`` advances as one stack, so its memory does not
+#: grow with the number of starts
+_BLOCK_STARTS = 64
+
+
 def simulation_check(dec, cls, dims, starts, seed, horizon, pol=None):
     """(forward matches, reverse matches, worst defect) of ``starts`` seeded
-    random flags flowed over +-``horizon``.  Each end flag is scored with
-    ``component_defect`` against the one component its stable (unstable)
-    Bruhat cell predicts, a match at most ``sim_tol``; all starts share one
-    step cache per direction."""
+    random flags flowed over +-``horizon``.  Each end flag is scored against
+    the one component its stable (unstable) Bruhat cell predicts, a match at
+    most ``sim_tol``.
+
+    Starts go through in stacks of ``_BLOCK_STARTS``.  Per direction a stack
+    has one rank count, one ``_advance`` (one product and one QR per substep,
+    one step cache for all starts) and one batched defect, with the bits of
+    separate trajectories.  Errors come in start order, forward first; a leg
+    beyond the substep budget raises before any start is scored.
+    """
     pol = pol or DEFAULT_POLICY
     filt, comps = cls.filtration, cls.components
+    dims = (dims if isinstance(dims, FlagType) else FlagType(dims)).validate_for(filt.n)
+    index = {c.assignment: i for i, c in enumerate(comps)}
     rng = np.random.default_rng(seed)
-    legs = ((bruhat_cell, horizon, {}), (unstable_bruhat_cell, -horizon, {}))
+    legs = ((False, horizon, {}), (True, -horizon, {}))
     matches = [0, 0]
     worst = 0.0
-    for _ in range(starts):
-        f0 = random_flag(filt.n, dims, rng)
-        for i, (cell, t, cache) in enumerate(legs):
-            pred = cell(f0, filt, dims, pol, components=comps)
-            end = Flag(_advance(dec, f0.basis, t, cache, _orthonormalize), f0.dims)
-            defect = component_defect(end, comps[pred], filt)
-            worst = max(worst, defect)
-            if defect <= pol.sim_tol:
-                matches[i] += 1
+    for first in range(0, starts, _BLOCK_STARTS):
+        size = min(_BLOCK_STARTS, starts - first)
+        b0 = _orthonormalize(rng.normal(size=(size, filt.n, dims.dims[-1])))
+        runs = [
+            (*_rank_tables(b0, dims, filt, pol, reverse),
+             _advance(dec, b0, t, cache, _orthonormalize))
+            for reverse, t, cache in legs
+        ]
+        scored = [([], []), ([], [])]
+        for k in range(size):
+            for (tables, margins, ends), (picked, bases) in zip(runs, scored):
+                table = _checked_table(tables[k], margins[k])
+                picked.append(comps[_component_index(table, index)])
+                bases.append(Flag(ends[k], dims).basis)
+        for i, (picked, bases) in enumerate(scored):
+            for defect in _defects(np.stack(bases), dims, picked, filt):
+                worst = max(worst, defect)
+                if defect <= pol.sim_tol:
+                    matches[i] += 1
     return matches[0], matches[1], worst
 
 

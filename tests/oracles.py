@@ -25,7 +25,7 @@ from jordanflow.errors import (
     RankAmbiguous,
     StiffnessSuspected,
 )
-from jordanflow.flags import Flag
+from jordanflow.flags import Flag, random_flag, simulate_flag
 from jordanflow.floquet import (
     MIN_STEPS,
     STIFFNESS_BUDGET,
@@ -238,6 +238,57 @@ def cell_assignment_reference(flag, filt, pol, reverse=False):
             margins={"worst_sigma_over_threshold": worst_margin},
         )
     return table, worst_margin
+
+
+def component_defect_reference(flag, component, filt):
+    """Coordinate-mass mismatch and invariance residual of the flag against
+    the component, one flag at a time.  A frozen copy of
+    ``flags.component_defect`` as it was before the defects of a stack of
+    flags were computed together."""
+    q = filt.transform
+    y = np.linalg.solve(q, flag.basis)
+    yo = orthonormalize_reference(y)
+    starts = filt.row_starts()
+    k = len(filt.mults)
+    cum = np.cumsum(component.assignment, axis=0)
+    worst = 0.0
+    rates = filt.row_rates[:, None]
+    model_norm = max(1.0, max(abs(r) for r in filt.rates))
+    for i, d in enumerate(flag.dims.dims):
+        cols = yo[:, :d]
+        for j in range(k):
+            mass = float(np.sum(cols[starts[j] : starts[j + 1], :] ** 2))
+            worst = max(worst, abs(mass - cum[i, j]))
+        hv = rates * cols
+        resid = hv - cols @ (cols.T @ hv)
+        worst = max(worst, float(np.linalg.norm(resid)) / model_norm)
+    return worst
+
+
+def simulation_check_reference(dec, cls, dims, starts, seed, horizon, pol=None):
+    """``flags.simulation_check`` one start at a time, as it was before the
+    starts became one stack: ``random_flag`` draws each start, each leg's
+    end flag is ``simulate_flag``'s, the prediction is
+    ``cell_assignment_reference``'s table and the defect
+    ``component_defect_reference``'s."""
+    pol = pol or DEFAULT_POLICY
+    filt, comps = cls.filtration, cls.components
+    tables = [c.assignment for c in comps]
+    rng = np.random.default_rng(seed)
+    matches = [0, 0]
+    worst = 0.0
+    for _ in range(starts):
+        f0 = random_flag(filt.n, dims, rng)
+        for i, (reverse, t) in enumerate(((False, horizon), (True, -horizon))):
+            table, _ = cell_assignment_reference(f0, filt, pol, reverse)
+            if table not in tables:
+                raise IllConditioned(f"rank pattern {table} matches no Morse component")
+            end = simulate_flag(dec, f0, [t])[-1]
+            defect = component_defect_reference(end, comps[tables.index(table)], filt)
+            worst = max(worst, defect)
+            if defect <= pol.sim_tol:
+                matches[i] += 1
+    return matches[0], matches[1], worst
 
 
 def rate_groups_reference(spectral, continuous, pol):

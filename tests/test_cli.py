@@ -199,10 +199,10 @@ class TestAnalyze:
     def test_contradiction_exit_4(self, x4_file, monkeypatch):
         import jordanflow.flags as flagsmod
 
-        def broken(flag, component, filt):
-            return 1.0  # defect never below sim_tol
+        def broken(bases, dims, components, filt):
+            return [1.0] * len(bases)  # defect never below sim_tol
 
-        monkeypatch.setattr(flagsmod, "component_defect", broken)
+        monkeypatch.setattr(flagsmod, "_defects", broken)
         code = main(["analyze", str(x4_file), "--flag", "1", "--simulate", "2"])
         assert code == 4
 
@@ -210,20 +210,21 @@ class TestAnalyze:
         import jordanflow.flags as flagsmod
 
         calls = []
-        defect = flagsmod.component_defect
+        defects = flagsmod._defects
         monkeypatch.setattr(
             flagsmod,
-            "component_defect",
-            lambda *a: calls.append(1) or defect(*a),
+            "_defects",
+            lambda bases, *a: calls.append(len(bases)) or defects(bases, *a),
         )
-        # 20 components on Gr(3, 6); only the predicted one is scored
+        # 20 components on Gr(3, 6); only the predicted one is scored: one
+        # stack of 3 rows a leg
         f = write_matrix(tmp_path / "d.json", np.diag([2.5, 1.5, 0.5, -0.5, -1.5, -2.5]))
         out = tmp_path / "out.json"
         argv = ["analyze", str(f), "--flag", "3", "--simulate", "3", "-o", str(out)]
         assert main(argv) == 0
         rep = json.loads(out.read_text())
         assert len(rep["components"]) == 20
-        assert len(calls) == 6
+        assert calls == [3, 3] and sum(calls) == 6
         sim = rep["simulation"]
         assert sim["forward_matches"] == 3 and sim["reverse_matches"] == 3
 

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,13 @@ from jordanflow import (
     unstable_bruhat_cell,
 )
 from jordanflow import flags
-from jordanflow.errors import IllConditioned, InvariantViolated, RankAmbiguous
+from jordanflow.cli import main
+from jordanflow.errors import (
+    IllConditioned,
+    InvariantViolated,
+    JordanFlowError,
+    RankAmbiguous,
+)
 from jordanflow.flags import (
     RateFiltration,
     _cell_assignment,
@@ -39,6 +47,7 @@ from oracles import (
     height_lyapunov_reference,
     pair_counts_bruteforce,
     plucker_embed,
+    simulation_check_reference,
     wedge_infinitesimal,
     wedge_representation,
 )
@@ -707,6 +716,74 @@ class TestSimulateFlag:
         assert all(np.array_equal(a.basis, b.basis) for a, b in zip(got, want))
 
 
+def _sim_outcome(fn, *args):
+    """(forward, reverse, worst bits), or (error type, message, margin
+    bits)."""
+    try:
+        forward, reverse, worst = fn(*args)
+    except JordanFlowError as exc:
+        margins = {k: float.hex(float(v)) for k, v in getattr(exc, "margins", {}).items()}
+        return type(exc), str(exc), margins
+    assert type(forward) is int and type(reverse) is int
+    return forward, reverse, float.hex(float(worst))
+
+
+def _spectral_shape(rng, n, discrete):
+    """(decomposition, horizon) shaped like the benchmark's spectral group:
+    n // 3 rotation pairs and real rates about 0.4 apart, traceless,
+    conjugated by I + 0.3 G; in discrete time the exponential with two real
+    eigenvalues negated.  The horizon is max(25, 30 / smallest rate gap)."""
+    pairs = n // 3
+    rates = 0.4 * np.arange(n - pairs, 0, -1) + rng.uniform(-0.1, 0.1, n - pairs)
+    mult = np.where(rng.permutation(n - pairs) < pairs, 2, 1)
+    rates -= np.dot(mult, rates) / n
+    d = np.zeros((n, n))
+    i = 0
+    for r, m in zip(rates, mult):
+        w = rng.uniform(0.5, 2.0)
+        d[i : i + m, i : i + m] = [[r, -w], [w, r]] if m == 2 else r
+        i += m
+    c = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+    horizon = max(25.0, 30.0 / np.min(-np.diff(np.sort(rates)[::-1])))
+    if not discrete:
+        return additive_jordan(c @ d @ np.linalg.inv(c)), horizon
+    e = matrix_exp(d)
+    reals = [j for j in range(n) if np.count_nonzero(e[j]) == 1]
+    for j in reals[: 2 if len(reals) >= 2 else 0]:
+        e[j, j] = -e[j, j]
+    return multiplicative_jordan(c @ e @ np.linalg.inv(c)), max(1, int(horizon))
+
+
+class _PlantedRng:
+    """A generator whose normal draw for start ``k`` is ``basis``, whether
+    the starts are drawn one at a time or as stacks."""
+
+    def __init__(self, rng, k, basis):
+        self.rng, self.k, self.basis, self.drawn = rng, k, basis, 0
+
+    def normal(self, size):
+        out = self.rng.normal(size=size)
+        draws = out.reshape(-1, *self.basis.shape)
+        if 0 <= self.k - self.drawn < len(draws):
+            draws[self.k - self.drawn] = self.basis
+        self.drawn += len(draws)
+        return out
+
+
+def _plant_nan_end(monkeypatch, start, forward):
+    """The end flag of ``start`` (within its stack) on one leg is NaN."""
+    advance = flags._advance
+
+    def planted(dec, basis, dt, cache, renorm):
+        out = advance(dec, basis, dt, cache, renorm)
+        if (dt > 0) == forward:
+            out = out.copy()
+            out[start] = np.nan
+        return out
+
+    monkeypatch.setattr(flags, "_advance", planted)
+
+
 class TestSimulationCheck:
     @pytest.mark.parametrize("mat", [x1(1, 2), x4(1, 2), x5(1.0)], ids=["x1", "x4", "x5"])
     @pytest.mark.parametrize("dims", [(1,), (1, 2)])
@@ -714,7 +791,9 @@ class TestSimulationCheck:
         """Criterion 5's reference loop (``simulate_flag`` per start, every
         component scored by ``nearest_component``) on the same seeded flags:
         each leg ends on the same flag, nearest to the predicted component,
-        and ``simulation_check`` scores that component with the same defect."""
+        and ``simulation_check`` scores that component with the same defect.
+        The batched scorer takes each leg's starts as one stack, so the
+        reference's rows are compared leg by leg."""
         dec = additive_jordan(mat)
         cls = classify_flow(dec, dims)
         filt, comps = cls.filtration, cls.components
@@ -728,13 +807,17 @@ class TestSimulationCheck:
                 assert near == cell(f0, filt, dims, components=comps)
                 want.append((end.basis, comps[near], defect))
 
+        want = want[0::2] + want[1::2]
+
         got = []
-        score = flags.component_defect
-        monkeypatch.setattr(
-            flags,
-            "component_defect",
-            lambda f, c, filt: got.append((f.basis, c, score(f, c, filt))) or got[-1][2],
-        )
+        score = flags._defects
+
+        def scored(bases, dims, components, filt):
+            defects = score(bases, dims, components, filt)
+            got.extend(zip(bases, components, defects))
+            return defects
+
+        monkeypatch.setattr(flags, "_defects", scored)
         forward, reverse, worst = flags.simulation_check(dec, cls, dims, 10, 11, 25.0)
         assert len(got) == len(want) == 20
         for (basis, comp, defect), (basis_ref, comp_ref, defect_ref) in zip(got, want):
@@ -742,6 +825,136 @@ class TestSimulationCheck:
             assert comp == comp_ref and defect == defect_ref
         assert (forward, reverse) == (10, 10)
         assert worst == max(d for *_, d in want) <= 1e-6
+
+    @pytest.mark.parametrize("mat", [x1(1, 2), x4(1, 2), x5(1.0)], ids=["x1", "x4", "x5"])
+    @pytest.mark.parametrize("dims", [(1,), (1, 2)])
+    def test_matches_reference(self, mat, dims, pol):
+        """Match counts and worst-defect bits equal the per-start loop's; 70
+        starts take two stacks."""
+        dec = additive_jordan(mat)
+        cls = classify_flow(dec, dims, pol)
+        for seed, starts in ((0, 1), (1, 10), (2, 70)):
+            args = (dec, cls, dims, starts, seed, 25.0, pol)
+            want = _sim_outcome(simulation_check_reference, *args)
+            assert _sim_outcome(flags.simulation_check, *args) == want
+
+    @pytest.mark.parametrize("discrete", [False, True], ids=["continuous", "discrete"])
+    @pytest.mark.parametrize("n", [3, 6, 9, 12])
+    def test_matches_reference_on_spectral_shapes(self, n, discrete, pol):
+        """The benchmark spectral group's analyze shape: flag ``1``, 4
+        starts, horizon max(25, 30 / gap)."""
+        for draw in range(2):
+            rng = np.random.default_rng([n, discrete, draw])
+            dec, horizon = _spectral_shape(rng, n, discrete)
+            cls = classify_flow(dec, (1,), pol)
+            args = (dec, cls, (1,), 4, draw, horizon, pol)
+            want = _sim_outcome(simulation_check_reference, *args)
+            assert _sim_outcome(flags.simulation_check, *args) == want
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        starts=st.integers(0, 9),
+        system=st.sampled_from([x1(1, 2), x4(1, 2), x5(1.0)]),
+        dims=st.sampled_from([(1,), (2,), (1, 2)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_sweep(self, seed, starts, system, dims):
+        dec = additive_jordan(system)
+        cls = classify_flow(dec, dims)
+        args = (dec, cls, dims, starts, seed, 25.0)
+        want = _sim_outcome(simulation_check_reference, *args)
+        assert _sim_outcome(flags.simulation_check, *args) == want
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_stack_size_keeps_the_bits(self, monkeypatch, block, pol):
+        if block is not None:
+            monkeypatch.setattr(flags, "_BLOCK_STARTS", block)
+        dec = additive_jordan(x4(1, 2))
+        cls = classify_flow(dec, (1, 2), pol)
+        args = (dec, cls, (1, 2), 10, 4, 25.0, pol)
+        want = _sim_outcome(simulation_check_reference, *args)
+        assert _sim_outcome(flags.simulation_check, *args) == want
+
+    def test_no_starts_draw_nothing(self, monkeypatch):
+        dec = additive_jordan(x4(1, 2))
+        cls = classify_flow(dec, (1,))
+        made = []
+        make = np.random.default_rng
+        monkeypatch.setattr(
+            np.random,
+            "default_rng",
+            lambda seed: made.append(_PlantedRng(make(seed), 0, np.zeros((3, 1)))) or made[-1],
+        )
+        got = flags.simulation_check(dec, cls, (1,), 0, 5, 25.0)
+        assert got == (0, 0, 0.0) and float.hex(got[2]) == "0x0.0p+0"
+        assert [rng.drawn for rng in made] == [0]
+
+    def test_peak_memory_does_not_grow_with_starts(self):
+        """Gr(3, 6): the tracemalloc peak of 8 stacks of starts is within
+        half of one stack's (all 8 held at once read about 8 times)."""
+        dec = additive_jordan(np.diag([2.5, 1.5, 0.5, -0.5, -1.5, -2.5]))
+        cls = classify_flow(dec, (3,))
+        sizes = (flags._BLOCK_STARTS, 8 * flags._BLOCK_STARTS)
+        for starts in sizes:  # lazy set-up
+            flags.simulation_check(dec, cls, (3,), starts, 0, 2.0)
+        peaks = []
+        for starts in sizes:
+            tracemalloc.start()
+            try:
+                flags.simulation_check(dec, cls, (3,), starts, 0, 2.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
+    @pytest.fixture
+    def planted(self, monkeypatch, tmp_path, pol):
+        """(dec, cls, argv of ``analyze --flag 1 --simulate 4``), with start
+        1 a line whose forward rank decision is twice its threshold."""
+        dec, filt, line = planted_near_threshold_flag(0, False, pol)
+        cls = classify_flow(dec, (1,), pol)
+        args = (dec, cls, (1,), 4, 0, 25.0, pol)
+        assert type(_sim_outcome(simulation_check_reference, *args)[0]) is int
+        make = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: _PlantedRng(make(seed), 1, line.basis)
+        )
+        path = tmp_path / "planted.json"
+        path.write_text(json.dumps({"n": filt.n, "rows": dec.X.tolist()}))
+        return dec, cls, ["analyze", str(path), "--flag", "1", "--simulate", "4", "--seed", "0"]
+
+    def test_planted_rank_ambiguity(self, planted, pol):
+        """Only start 1 is ambiguous: the stack raises what the per-start
+        loop raises, and the CLI exits 1."""
+        dec, cls, argv = planted
+        args = (dec, cls, (1,), 4, 0, 25.0, pol)
+        want = _sim_outcome(simulation_check_reference, *args)
+        assert want[0] is RankAmbiguous
+        assert _sim_outcome(flags.simulation_check, *args) == want
+        assert main(argv) == 1
+
+    def test_planted_nan_end_flag(self, monkeypatch, tmp_path):
+        """Start 2 of 4 ends on a NaN flag going forward: InputError, exit
+        2."""
+        _plant_nan_end(monkeypatch, 2, forward=True)
+        dec = additive_jordan(x4(1, 2))
+        cls = classify_flow(dec, (1,))
+        with pytest.raises(InputError, match="non-finite"):
+            flags.simulation_check(dec, cls, (1,), 4, 0, 25.0)
+        path = tmp_path / "x4.json"
+        path.write_text(json.dumps({"n": 3, "rows": x4(1, 2).tolist()}))
+        assert main(["analyze", str(path), "--flag", "1", "--simulate", "4"]) == 2
+
+    @pytest.mark.parametrize(
+        "start, forward, error", [(0, False, InputError), (2, True, RankAmbiguous)]
+    )
+    def test_first_failing_start_raises(self, planted, monkeypatch, start, forward, error):
+        """Start 1 is ambiguous and one more start ends on a NaN flag: the
+        earlier start raises, the reverse leg of start 0 before start 1."""
+        _plant_nan_end(monkeypatch, start, forward)
+        dec, cls, argv = planted
+        with pytest.raises(error):
+            flags.simulation_check(dec, cls, (1,), 4, 0, 25.0)
 
 
 class TestHeightFrameMemo:
