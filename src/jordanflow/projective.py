@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import GridTooLarge, InputError, InvariantViolated
 from .jordan import AdditiveJordan, MultiplicativeJordan
-from .matrixcore import DEFAULT_POLICY, matrix_exp
+from .matrixcore import DEFAULT_POLICY, _as_index, matrix_exp
 
 __all__ = [
     "ProjectivePoint",
@@ -51,16 +51,16 @@ MAX_LEG_DOUBLINGS = 52
 CHAIN_PAIR_BUDGET = 512 * 2**20
 #: peak bytes per edge, measured with ru_maxrss on P^1 and P^2 at N = 3000
 #: with every pair an edge: the adjacency before and after a leg is added,
-#: the leg's column blocks (P^1) or block CSRs (P^2) and their stack, and
-#: one block's transients
+#: the leg's block CSRs (P^2) and their stack, and one block's transients.
+#: P^1, which writes its union once, needs less
 _EDGE_BYTES = 24
 #: pairs one block of image rows may test: the candidates a P^2 tree query
-#: returns, or the window rows times the width on P^1; bounds the block's
-#: transient pair records, gathered rows and cosines
+#: returns, or the rows times the width of the P^1 windows that
+#: ``_abs_cos`` decides whole; bounds the block's transient pair records,
+#: gathered rows and cosines
 _BLOCK_PAIRS = 2**18
-#: a batched product's |cos| within this of the threshold is decided again
-#: by ``_abs_cos``; the two differed by at most 1.1e-16 on random P^1 flows
-_COS_BAND = 1e-13
+#: grid lines around each end of a P^1 arc that ``_abs_cos`` decides
+_END_ZONE = 5
 
 
 class ProjectivePoint:
@@ -427,46 +427,105 @@ def _leg_edges(img, pts, tree, radius, cos_thresh, block_rows):
     return sp.vstack(blocks, format="csr")
 
 
-def _window_edges(img, pts, eps, cos_thresh):
-    """Bool CSR of the pairs (i, j) with |img_i . pts_j| > cos_thresh on P^1.
+def _leg_arcs(img, pts, cos_thresh):
+    """The pairs (i, j) with |img_i . pts_j| > cos_thresh on P^1, as one
+    cyclic arc of grid lines per image row: arrays (start, length).
 
-    Grid line j sits at angle pi j / N, so every line within chordal eps of
-    an image lies in a cyclic window of grid indices around the image's
-    angle.  One batched product decides the pairs farther than
-    ``_COS_BAND`` from the threshold, and ``_abs_cos``, which rounds like
-    the gemm, the rest.  A row that is not finite gets no edges.
+    Line j sits at angle pi j / N, and |cos| falls strictly with the cyclic
+    distance between angles, so row i keeps the lines within h = N/pi *
+    acos(cos_thresh) grid steps of its angle u_i: the arc from floor(u - h)
+    to floor(u + h), give or take the rounding at its two ends.
+    ``_abs_cos``, which rounds like the gemm, decides the ``_END_ZONE``
+    lines around each end; the lines between the zones are kept and the
+    rest dropped.  Adjacent lines' |cos| differ by at least 2 sin^2(pi/2N),
+    far above the rounding, so a zone's kept lines are the ones next to the
+    arc and their count places its end.  Where the zones meet or cover the
+    cycle, ``_abs_cos`` decides the whole window and the arc starts where
+    its run of kept lines does.  A row that is not finite keeps nothing.
     """
     resolution = len(pts)
-    # grid steps within chordal eps of a line; 2 more cover the floor of the
-    # image's angle and the round-off of that angle and of the cosine
-    steps = 2.0 * math.asin(min(eps, math.sqrt(2.0)) / 2.0) * resolution / math.pi
-    width = min(2 * (math.ceil(steps) + 2) + 1, resolution)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.vstack([pts, pts[:width]]), (width, 2)
-    )[:, 0]
-    block_rows = max(1, _BLOCK_PAIRS // width)
-    counts = np.zeros(len(img) + 1, dtype=np.int32)
-    cols = []
-    for start in range(0, len(img), block_rows):
-        sub = img[start : start + block_rows]
-        live = np.flatnonzero(np.isfinite(sub).all(axis=1))
-        x = sub[live]
-        below = np.floor(np.arctan2(x[:, 1], x[:, 0]) * resolution / np.pi)
-        lo = (below.astype(np.intp) - width // 2) % resolution
-        fast = np.abs(np.matmul(windows[lo], x[:, :, None])[:, :, 0])
-        keep = fast > cos_thresh + _COS_BAND
-        r, k = np.nonzero(~keep & (fast >= cos_thresh - _COS_BAND))
-        keep[r, k] = _abs_cos(x[r], pts[(lo[r] + k) % resolution]) > cos_thresh
-        r, k = np.nonzero(keep)
-        counts[start + 1 + live] = keep.sum(axis=1)
-        cols.append(((lo[r] + k) % resolution).astype(np.int32))
-    indices = np.concatenate(cols)
-    leg = sp.csr_matrix(
-        (np.ones(len(indices), dtype=bool), indices, np.cumsum(counts, dtype=np.int32)),
-        shape=(len(img), resolution),
+    start = np.zeros(len(img), dtype=np.intp)
+    length = np.zeros(len(img), dtype=np.intp)
+    live = np.flatnonzero(np.isfinite(img).all(axis=1))
+    x = img[live]
+    u = np.arctan2(x[:, 1], x[:, 0]) * (resolution / np.pi)
+    half = math.acos(min(max(cos_thresh, 0.0), 1.0)) * resolution / math.pi
+    lo = np.floor(u - half).astype(np.intp) - _END_ZONE // 2
+    span = np.floor(u + half).astype(np.intp) + _END_ZONE // 2 + 1 - lo
+    zones = (span >= 2 * _END_ZONE) & (span <= resolution)
+
+    r = np.flatnonzero(zones)
+    offsets = np.arange(_END_ZONE)
+    cols = np.hstack([lo[r, None] + offsets, (lo + span - _END_ZONE)[r, None] + offsets])
+    kept = _abs_cos(
+        np.repeat(x[r], 2 * _END_ZONE, axis=0), pts[cols.ravel() % resolution]
+    ).reshape(-1, 2 * _END_ZONE) > cos_thresh
+    below, above = kept[:, :_END_ZONE].sum(axis=1), kept[:, _END_ZONE:].sum(axis=1)
+    start[live[r]] = (lo[r] + _END_ZONE - below) % resolution
+    length[live[r]] = span[r] - 2 * _END_ZONE + below + above
+
+    r = np.flatnonzero(~zones)
+    if r.size:
+        width = min(int(span[r].max()), resolution)
+        block_rows = max(1, _BLOCK_PAIRS // width)
+        for b in range(0, len(r), block_rows):
+            rb = r[b : b + block_rows]
+            cols = (lo[rb, None] + np.arange(width)) % resolution
+            kept = _abs_cos(np.repeat(x[rb], width, axis=0), pts[cols.ravel()]).reshape(
+                -1, width
+            ) > cos_thresh
+            # the window's first and last lines are dropped unless it is the
+            # whole cycle, so its one cyclic run of kept lines starts at the
+            # one line kept after a dropped one (or at 0: none or all kept)
+            rise = kept & ~np.roll(kept, 1, axis=1)
+            start[live[rb]] = (lo[rb] + rise.argmax(axis=1)) % resolution
+            length[live[rb]] = kept.sum(axis=1)
+    return start, length
+
+
+def _arc_union(arcs, resolution):
+    """Canonical bool CSR of the union of the legs' P^1 arcs.
+
+    An arc past line N - 1 is cut into two linear pieces.  The pieces are
+    sorted by (row, start), and a running maximum of their ends merges the
+    overlapping and touching ones of a row; the indices of the merged
+    pieces are written once, in int32.
+    """
+    starts = np.concatenate([s for s, _ in arcs])
+    stops = starts + np.concatenate([n for _, n in arcs])
+    rows = np.tile(np.arange(resolution), len(arcs))
+    wrap = stops > resolution
+    rows = np.concatenate([rows, rows[wrap]])
+    lo = np.concatenate([starts, np.zeros(int(wrap.sum()), dtype=np.intp)])
+    hi = np.concatenate([np.minimum(stops, resolution), stops[wrap] - resolution])
+    keep = hi > lo
+    rows, lo, hi = rows[keep], lo[keep], hi[keep]
+    # rows N + 1 columns apart: no piece of one row reaches the next
+    base = rows * (resolution + 1)
+    order = np.argsort(base + lo)
+    lo, hi = (base + lo)[order], (base + hi)[order]
+    reach = np.maximum.accumulate(hi)
+    new = lo > np.roll(reach, 1)
+    new[:1] = True
+    first = np.flatnonzero(new)
+    # a merged piece ends where the next begins; the last at the last piece
+    lo, hi = lo[first], reach[np.roll(first, -1) - 1]
+    rows = lo // (resolution + 1)
+    lo -= rows * (resolution + 1)
+    hi -= rows * (resolution + 1)
+
+    ends = np.cumsum(hi - lo)
+    indptr = np.concatenate([[0], ends])[np.searchsorted(rows, np.arange(resolution + 1))]
+    nnz = int(indptr[-1])
+    # consecutive columns: ones, and at each piece's first position the step
+    # from the previous piece's last column
+    indices = np.ones(nnz, dtype=np.int32)
+    indices[ends - (hi - lo)] = lo - np.concatenate([[1], hi[:-1]]) + 1
+    np.cumsum(indices, dtype=np.int32, out=indices)
+    return sp.csr_matrix(
+        (np.ones(nnz, dtype=bool), indices, indptr.astype(np.int32)),
+        shape=(resolution, resolution),
     )
-    leg.sort_indices()
-    return leg
 
 
 def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
@@ -477,16 +536,22 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
     grows and eps shrinks the marked set converges to the chain recurrent
     set fix(h^t) on the tested families.
 
-    On P^1, uniform in angle, a batched product tests each image against
-    the window of about N * (4/pi) asin(eps/2) grid lines around its angle;
-    on P^2 k-d tree queries match the images to the grid and its negatives.
-    So a leg costs O(N * window) products or O(N) queries, taken a bounded
-    block of image rows at a time, and the graph O(edges) memory.  An input
-    whose estimated edges, min(N^2, legs * candidates per leg), would take
-    more than ``CHAIN_PAIR_BUDGET`` bytes is refused before allocating.
+    On P^1, uniform in angle, each image keeps one cyclic arc of about
+    N * (4/pi) asin(eps/2) grid lines around its angle; ``_abs_cos`` decides
+    the few lines at the arc's two ends, so a leg costs O(N) work, and the
+    union of the legs' arcs is written once, O(edges).  On P^2 k-d tree
+    queries match the images to the grid and its negatives, a bounded block
+    of image rows at a time, and each leg is added to the union.  A leg
+    whose normalized step matrix equals the previous one's has the same
+    edges, and so do all later legs: none of them is built again.  The
+    graph takes O(edges) memory.  An input whose estimated edges,
+    min(N^2, legs * candidates per leg), would take more than
+    ``CHAIN_PAIR_BUDGET`` bytes is refused before allocating.
     """
     pol = pol or DEFAULT_POLICY
     dec = _as_decomposition(dec)
+    resolution = _as_index(resolution, "resolution")
+    leg_doublings = _as_index(leg_doublings, "leg_doublings")
     n = dec.spectral.n
     if n not in (2, 3):
         raise GridTooLarge(f"chain oracle supports n in (2, 3); got n={n}")
@@ -509,36 +574,43 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
             f"resolution {resolution}, eps {eps}, {leg_doublings + 1} legs; "
             f"budget {CHAIN_PAIR_BUDGET / 2**20:.0f} MiB"
         )
-    block_rows = max(1, int(_BLOCK_PAIRS * resolution // candidates))
-    # imported here: scipy.spatial adds ~0.2 s to every CLI start
-    from scipy.spatial import cKDTree
 
     pts = projective_grid(n, resolution)
-    g1 = _step_matrix(dec, min_time)
-    # a line [p] is within chordal eps of an image iff p or -p is.  The
-    # radius is padded past the cosine's round-off, so every pair the strict
-    # test accepts is a candidate; from sqrt(2) on, every pair is one.
-    tree = cKDTree(np.vstack([pts, -pts]))
-    radius = min(eps, math.sqrt(2.0)) * (1.0 + 1e-7) + 1e-7
-
     cos_thresh = 1.0 - 0.5 * eps * eps
-    adj = sp.csr_matrix((resolution, resolution), dtype=bool)
+    if n == 3:
+        # imported here: scipy.spatial adds ~0.2 s to every CLI start
+        from scipy.spatial import cKDTree
+
+        block_rows = max(1, int(_BLOCK_PAIRS * resolution // candidates))
+        # a line [p] is within chordal eps of an image iff p or -p is.  The
+        # radius is padded past the cosine's round-off, so every pair the
+        # strict test accepts is a candidate; from sqrt(2) on, every pair is.
+        tree = cKDTree(np.vstack([pts, -pts]))
+        radius = min(eps, math.sqrt(2.0)) * (1.0 + 1e-7) + 1e-7
+        adj = sp.csr_matrix((resolution, resolution), dtype=bool)
+    arcs = []
     leg_times = []
-    step = g1.copy()
+    step = _step_matrix(dec, min_time)
+    last = None
     t = float(min_time)
     for _ in range(leg_doublings + 1):
         leg_times.append(t)
-        img = pts @ step.T
-        img /= np.linalg.norm(img, axis=1)[:, None]
-        if n == 2:
-            leg = _window_edges(img, pts, eps, cos_thresh)
-        else:
-            leg = _leg_edges(img, pts, tree, radius, cos_thresh, block_rows)
-        adj = (adj + leg).tocsr()
-        del leg  # not alive while the next leg is built
+        if last is None or not np.array_equal(step, last):
+            img = pts @ step.T
+            img /= np.linalg.norm(img, axis=1)[:, None]
+            if n == 2:
+                arcs.append(_leg_arcs(img, pts, cos_thresh))
+            else:
+                leg = _leg_edges(img, pts, tree, radius, cos_thresh, block_rows)
+                adj = (adj + leg).tocsr()
+                del leg  # not alive while the next leg is built
+        last = step
         step = step @ step
         step /= max(np.abs(step).max(), 1e-300)
         t *= 2.0
+    if n == 2:
+        adj = _arc_union(arcs, resolution)
+        del arcs
 
     # given the bool matrix, connected_components would make a float64 copy
     # with copied index arrays; a float64 view shares the indices
@@ -554,14 +626,20 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
     marked = cyclic[labels]
 
     # covering radius of the grid: max nearest-neighbor chordal distance.
-    # A point's nearest other line is among its 3 nearest +- tree neighbors
-    # besides itself; the largest |cos| of the 3 settles near-ties as the
-    # gemm would.
-    _, near = tree.query(pts, k=4)
-    near %= resolution
-    nn_cos = _abs_cos(np.repeat(pts, 4, axis=0), pts[near.ravel()]).reshape(-1, 4)
-    nn_cos[near == np.arange(resolution)[:, None]] = -1.0
-    covering = float(np.sqrt(max(0.0, 2.0 - 2.0 * nn_cos.max(axis=1).min())))
+    # On P^1 a line's nearest other lines are j - 1 and j + 1 (cyclic).  On
+    # P^2 a point's nearest other line is among its 3 nearest +- tree
+    # neighbors besides itself.  The largest |cos| of the candidates settles
+    # near-ties as the gemm would.
+    if n == 2:
+        up = _abs_cos(pts, np.roll(pts, -1, axis=0))
+        nn_cos = np.maximum(up, np.roll(up, 1))
+    else:
+        _, near = tree.query(pts, k=4)
+        near %= resolution
+        nn_cos = _abs_cos(np.repeat(pts, 4, axis=0), pts[near.ravel()]).reshape(-1, 4)
+        nn_cos[near == np.arange(resolution)[:, None]] = -1.0
+        nn_cos = nn_cos.max(axis=1)
+    covering = float(np.sqrt(max(0.0, 2.0 - 2.0 * nn_cos.min())))
 
     return ChainGraph(
         points=pts,

@@ -1,5 +1,8 @@
+import collections
+import cProfile
 import dataclasses
 import math
+import pstats
 import struct
 import sys
 import tracemalloc
@@ -35,6 +38,7 @@ from jordanflow.projective import (
     SUBSTEP_BUDGET,
     _abs_cos,
     _chain_candidates,
+    _leg_arcs,
     _rate_mean,
     _step_matrix,
     _substeps,
@@ -42,7 +46,7 @@ from jordanflow.projective import (
 )
 import oracles
 from oracles import projective_distance, unipotent_limit
-from systems import E1, E2, E3, random_sl, random_sl_alg, rotation, x2, x4, x5
+from systems import E1, E2, E3, random_sl, random_sl_alg, rotation, x1, x2, x4, x5
 from test_flags import planted_near_threshold_flag
 
 finite_vectors = st.lists(
@@ -518,6 +522,21 @@ class TestChainOracle:
         cg = chain_oracle(multiplicative_jordan(g, pol), 200, 0.05, 1, pol)
         assert 0 < cg.covering_radius < 0.1
 
+    @pytest.mark.parametrize(
+        "resolution,leg_doublings",
+        [(100.0, 2), (100.5, 2), (True, 2), ("100", 2), (None, 2),
+         (100, 2.5), (100, True), (100, 1.0), (100, "2")],
+    )
+    def test_integer_arguments(self, resolution, leg_doublings, pol):
+        """``resolution`` and ``leg_doublings`` must be integers: a float,
+        even an integral one, a bool, a string or None is an InputError
+        before any range check; numpy integers pass."""
+        dec = multiplicative_jordan(np.diag([2.0, 0.5]), pol)
+        with pytest.raises(InputError, match="must be an integer"):
+            chain_oracle(dec, resolution, 0.05, 1, pol, leg_doublings=leg_doublings)
+        cg = chain_oracle(dec, np.int64(100), 0.05, 1, pol, leg_doublings=np.int32(2))
+        assert cg.leg_times == (1.0, 2.0, 4.0)
+
     def test_grid_limits(self, pol):
         from jordanflow import GridTooLarge
 
@@ -542,12 +561,28 @@ def _first_leg_images(pts, dec):
 
 @pytest.fixture
 def band_pairs(monkeypatch):
-    """The number of pairs each call from the P^1 window builder hands to
+    """The number of pairs each call from the frozen P^1 window builder
+    (``oracles.window_edges_reference``) hands to its ``_abs_cos``."""
+    seen = []
+    abs_cos = oracles._abs_cos
+
+    def counted(a, b):
+        if sys._getframe(1).f_code.co_name == "window_edges_reference":
+            seen.append(len(a))
+        return abs_cos(a, b)
+
+    monkeypatch.setattr(oracles, "_abs_cos", counted)
+    return seen
+
+
+@pytest.fixture
+def arc_pairs(monkeypatch):
+    """The number of pairs each call from the P^1 arc builder hands to
     ``_abs_cos``; the covering radius's calls are not counted."""
     seen = []
 
     def counted(a, b):
-        if sys._getframe(1).f_code.co_name == "_window_edges":
+        if sys._getframe(1).f_code.co_name == "_leg_arcs":
             seen.append(len(a))
         return _abs_cos(a, b)
 
@@ -556,19 +591,73 @@ def band_pairs(monkeypatch):
 
 
 @pytest.fixture
-def tree_queries(monkeypatch):
-    """One entry per ``cKDTree.sparse_distance_matrix`` call."""
+def tree_calls(monkeypatch):
+    """Counts of k-d trees built ("build") and of their
+    ``sparse_distance_matrix`` calls ("query")."""
     import scipy.spatial
 
-    calls = []
+    calls = collections.Counter()
 
     class CountingTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            calls["build"] += 1
+            super().__init__(*args, **kwargs)
+
         def sparse_distance_matrix(self, *args, **kwargs):
-            calls.append(1)
+            calls["query"] += 1
             return super().sparse_distance_matrix(*args, **kwargs)
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     return calls
+
+
+@pytest.fixture
+def legs_built(monkeypatch):
+    """One entry per leg ``chain_oracle`` builds: the name of the builder,
+    ``_leg_arcs`` on P^1 or ``_leg_edges`` on P^2."""
+    built = []
+    for name in ("_leg_arcs", "_leg_edges"):
+
+        def counted(*args, _name=name, _fn=getattr(projective, name)):
+            built.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(projective, name, counted)
+    return built
+
+
+def _arc_lines(start, length, resolution):
+    """Bool rows of the cyclic arcs: row i keeps lines start_i, ...,
+    start_i + length_i - 1 (mod N)."""
+    offset = np.arange(resolution, dtype=np.int32) - start[:, None].astype(np.int32)
+    offset[offset < 0] += resolution
+    return offset < length[:, None]
+
+
+def _arc_mismatches(img, pts, eps, start, length):
+    """Rows whose arc differs from the frozen window builder or from the
+    dense strict test |img_i . pts_j| > 1 - eps^2/2, taken from gemms of
+    row blocks, where a row that is not finite keeps nothing (an infinite
+    row would keep its infinite products).  A dense pair the arcs disagree
+    with must be one where the block gemm rounds the cosine one ulp apart
+    from ``_abs_cos`` (OpenBLAS does so at some shapes above N = 2000); the
+    row is reported otherwise."""
+    resolution = len(pts)
+    cos_thresh = 1.0 - 0.5 * eps * eps
+    ref = oracles.window_edges_reference(img, pts, eps, cos_thresh)
+    bad = []
+    for b in range(0, len(img), 512):
+        rows = slice(b, b + 512)
+        arcs = _arc_lines(start[rows], length[rows], resolution)
+        differs = (arcs != ref[rows].toarray()).any(axis=1)
+        with np.errstate(invalid="ignore"):
+            cos = np.abs(img[rows] @ pts.T)
+        dense = (cos > cos_thresh) & np.isfinite(img[rows]).all(axis=1)[:, None]
+        r, k = np.nonzero(arcs != dense)
+        rounded = _abs_cos(img[b + r], pts[k]) != cos[r, k]
+        differs[r[~rounded]] = True
+        bad += (b + np.flatnonzero(differs)).tolist()
+    return bad
 
 
 class TestChainGraphMatchesDense:
@@ -576,8 +665,8 @@ class TestChainGraphMatchesDense:
     P^2, equals the dense construction kept in ``oracles.chain_graph_dense``:
     same edges, marks and covering radius."""
 
-    def assert_matches(self, dec, n, resolution, eps, pol):
-        cg = chain_oracle(dec, resolution, eps, 1.0, pol)
+    def assert_matches(self, dec, n, resolution, eps, pol, leg_doublings=11):
+        cg = chain_oracle(dec, resolution, eps, 1.0, pol, leg_doublings=leg_doublings)
         pts = projective_grid(n, resolution)
         adj, marked, covering = oracles.chain_graph_dense(
             pts, _step_matrix(dec, 1.0), eps, len(cg.leg_times) - 1
@@ -603,7 +692,9 @@ class TestChainGraphMatchesDense:
         """eps = sqrt(2 - 2c) for an actual image-grid or grid-grid cosine c,
         raised by ulps until that pair passes the strict test
         c > 1 - eps^2/2, so it sits on the threshold's accepting side.  On
-        P^1 those pairs are the ones ``_abs_cos`` decides."""
+        P^1 those pairs are the ones ``_abs_cos`` decides; there the leg of
+        ``source`` as images gets the same arcs as the frozen window builder,
+        whose band sees the pair."""
         dec = _random_decomposition(n, seed, pol)
         pts = projective_grid(n, resolution)
         rng = np.random.default_rng([n, seed, 2])
@@ -618,6 +709,9 @@ class TestChainGraphMatchesDense:
                     eps = math.nextafter(eps, math.inf)
                 assert cos[i, j] - (1.0 - 0.5 * eps * eps) <= 1e-15
                 self.assert_matches(dec, n, resolution, eps, pol)
+                if n == 2:
+                    arcs = _leg_arcs(source, pts, 1.0 - 0.5 * eps * eps)
+                    assert _arc_mismatches(source, pts, eps, *arcs) == []
         assert (sum(band_pairs) >= 1) == (n == 2)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -697,7 +791,8 @@ class TestChainGraphMatchesDense:
         """The P^1 windows' batched product of rows against grid lines is
         within 1e-15 of the gemm, far inside ``_COS_BAND``, but rounds many
         cosines 1 ulp apart from it.  With the threshold at either value of
-        such a pair, the window builder keeps the gemm's strict test."""
+        such a pair, the frozen window builder keeps the gemm's strict test,
+        and so do the arcs."""
         pts = projective_grid(2, 600)
         grids = np.tile(pts, (600, 1, 1))
         for seed in range(6):
@@ -708,8 +803,10 @@ class TestChainGraphMatchesDense:
             i, j = np.nonzero(fast != gemm)
             for k in np.random.default_rng(seed).choice(len(i), 4, replace=False):
                 for c in (gemm[i[k], j[k]], fast[i[k], j[k]]):
-                    leg = projective._window_edges(img, pts, math.sqrt(2.0 - 2.0 * c), c)
+                    leg = oracles.window_edges_reference(img, pts, math.sqrt(2.0 - 2.0 * c), c)
                     assert (leg != sp.csr_matrix(gemm > c)).nnz == 0
+                    arcs = _arc_lines(*_leg_arcs(img, pts, c), 600)
+                    assert np.array_equal(arcs, gemm > c)
 
     @pytest.mark.parametrize("resolution", [8, 9, 64, 65, 1001])
     @pytest.mark.parametrize("eps", [0.05, 1.3])
@@ -734,14 +831,15 @@ class TestChainGraphMatchesDense:
     )
     def test_window_is_centred_on_the_image(self, resolution, eps, pol, monkeypatch):
         """With every window pair sent to ``_abs_cos``, each image row is
-        tested against the w = min(2h + 1, N) lines centred on the grid line
-        at or below its angle, h = ceil(2 asin(eps/2) / step) + 2."""
+        tested by the frozen window builder against the w = min(2h + 1, N)
+        lines centred on the grid line at or below its angle,
+        h = ceil(2 asin(eps/2) / step) + 2."""
         seen = []
-        monkeypatch.setattr(projective, "_COS_BAND", math.inf)
-        monkeypatch.setattr(projective, "_abs_cos", lambda a, b: seen.append((a, b)) or _abs_cos(a, b))
+        monkeypatch.setattr(oracles, "_COS_BAND", math.inf)
+        monkeypatch.setattr(oracles, "_abs_cos", lambda a, b: seen.append((a, b)) or _abs_cos(a, b))
         pts = projective_grid(2, resolution)
         img = np.vstack([_first_leg_images(pts, _random_decomposition(2, 15, pol)), pts])
-        projective._window_edges(img, pts, eps, 1.0 - 0.5 * eps * eps)
+        oracles.window_edges_reference(img, pts, eps, 1.0 - 0.5 * eps * eps)
         half = math.ceil(2.0 * math.asin(eps / 2.0) * resolution / math.pi) + 2
         width = min(2 * half + 1, resolution)
         a, b = (np.concatenate(x) for x in zip(*seen))
@@ -752,20 +850,145 @@ class TestChainGraphMatchesDense:
         got = np.rint(np.arctan2(b[..., 1], b[..., 0]) * resolution / np.pi) % resolution
         assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
 
-    def test_benchmark_p1_inputs(self, pol, band_pairs, tree_queries):
-        """The benchmark's P^1 chain jobs (N = 2000, eps 0.05, 12 legs) make
-        no tree query, and no cosine of theirs is near enough the threshold
-        for ``_abs_cos``.  A P^2 oracle still queries its tree."""
+    def test_benchmark_p1_inputs(self, pol, arc_pairs, tree_calls):
+        """The benchmark's P^1 chain jobs (N = 2000, eps 0.05, 12 legs)
+        build no k-d tree, and ``_abs_cos`` decides only the 5 lines at each
+        end of each arc: 10 N pairs a leg, over the 34 legs built (the
+        hyperbolic flow's last 2 legs repeat the one before).  A P^2 oracle
+        still builds a tree of the grid, and one of the images of each of
+        the 9 legs x5 builds, and queries it."""
         for dec in (
             multiplicative_jordan(np.array([[1.0, 1.3], [0.0, 1.0]]), pol),
             multiplicative_jordan(np.diag([2.2, 1.0 / 2.2]), pol),
             additive_jordan(np.array([[0.0, -1.2], [1.2, 0.0]]), pol),
         ):
             chain_oracle(dec, 2000, 0.05, 1.0, pol)
-        assert tree_queries == []
-        assert len(band_pairs) == 36 and sum(band_pairs) == 0
+        assert tree_calls == {}
+        assert arc_pairs == [10 * 2000] * 34
         chain_oracle(additive_jordan(x5(1.0), pol), 300, 0.05, 1.0, pol)
-        assert len(tree_queries) == 12
+        assert tree_calls == {"build": 10, "query": 9}
+
+    @pytest.mark.parametrize(
+        "mat,continuous,built",
+        [
+            (x5(1.0), True, 9),
+            (x1(1.0, 2.0), True, 9),
+            (np.diag([2.2, 1.0 / 2.2]), False, 10),
+            (np.array([[0.0, -1.2], [1.2, 0.0]]), True, 12),
+        ],
+        ids=["x5", "x1", "hyperbolic", "rotation"],
+    )
+    def test_repeated_legs_are_not_built(self, mat, continuous, built, pol, legs_built):
+        """Once a leg's normalized step equals the previous leg's bitwise,
+        no later leg is built; ``leg_times`` still lists all 12, and the
+        graph equals the dense one with every leg, at 11 and 40 doublings."""
+        jordan = additive_jordan if continuous else multiplicative_jordan
+        dec = jordan(mat, pol)
+        n = len(mat)
+        cg = chain_oracle(dec, 300, 0.05, 1.0, pol)
+        assert cg.leg_times == tuple(2.0**k for k in range(12))
+        assert len(legs_built) == built
+        for leg_doublings in (11, 40):
+            self.assert_matches(dec, n, 150, 0.1, pol, leg_doublings)
+
+    def test_p1_profile_has_no_sparse_sums_or_sorts(self, pol):
+        """Under cProfile a P^1 call adds no CSRs (``csr_plus_csr``) and
+        sorts no indices (``csr_sort_indices``); a P^2 call, which still adds
+        each leg to the union, shows both.  (cProfile does not see the
+        Cython k-d tree; ``test_benchmark_p1_inputs`` counts trees.)"""
+
+        def profiled(dec):
+            prof = cProfile.Profile()
+            prof.runcall(chain_oracle, dec, 2000, 0.05, 1.0, pol)
+            names = " ".join(name for _, _, name in pstats.Stats(prof).stats)
+            return {k for k in ("csr_plus_csr", "csr_sort_indices") if k in names}
+
+        rotation_p1 = additive_jordan(np.array([[0.0, -1.2], [1.2, 0.0]]), pol)
+        assert profiled(rotation_p1) == set()
+        assert profiled(additive_jordan(x5(1.0), pol)) == {"csr_plus_csr", "csr_sort_indices"}
+
+
+def _wrapping_rows(resolution):
+    """Unit rows at angle 0 (= pi), a few ulps and half a grid step either
+    side of it, and on a grid line: their arcs wrap across line 0."""
+    half = math.pi / resolution / 2.0
+    angles = np.array([0.0, 5e-324, 1e-16, -1e-16, half, -half, math.pi - 1e-16, 2 * half])
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+class TestLegArcs:
+    """One P^1 leg's arcs, row by row, equal the frozen window builder and
+    the dense strict test."""
+
+    @given(
+        resolution=st.integers(8, 4000),
+        continuous=st.booleans(),
+        entries=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+        squarings=st.integers(0, 12),
+        log_eps=st.floats(-9.0, math.log10(3.0)),
+        boundary=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_arcs_match_the_window_builder_and_dense(
+        self, resolution, continuous, entries, squarings, log_eps, boundary, data
+    ):
+        """Random continuous and discrete 2x2 flows and late legs (the step
+        squared and normalized), N in 8..4000, eps log-uniform from 1e-9 to
+        3 or on the boundary as ``test_eps_on_the_boundary`` builds it (from
+        the cosine of a drawn pair, raised by ulps until the pair passes the
+        strict test), with NaN rows and rows whose arcs wrap across angle
+        0."""
+        eps = 10.0**log_eps
+        pts = projective_grid(2, resolution)
+        step = np.array(entries).reshape(2, 2)
+        if continuous:
+            step = matrix_exp(step)
+        for _ in range(squarings):
+            step = step @ step
+            step /= max(np.abs(step).max(), 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            img = pts @ step.T
+            img /= np.linalg.norm(img, axis=1)[:, None]
+        img = np.vstack([img, _wrapping_rows(resolution)])
+        nan_rows = data.draw(st.lists(st.integers(0, len(img) - 1), max_size=3))
+        img[nan_rows] = np.nan
+        if boundary:
+            live = np.flatnonzero(np.isfinite(img).all(axis=1))
+            i = live[data.draw(st.integers(0, len(live) - 1))]
+            j = data.draw(st.integers(0, resolution - 1))
+            c = _abs_cos(img[[i]], pts[[j]])[0]
+            # below eps ~ 0.01 one ulp of eps moves the threshold by far less
+            # than one of its own ulps, and the search would crawl
+            if c < 1.0 - 5e-5:
+                eps = math.sqrt(2.0 - 2.0 * c)
+                while not c > 1.0 - 0.5 * eps * eps:
+                    eps = math.nextafter(eps, math.inf)
+        start, length = _leg_arcs(img, pts, 1.0 - 0.5 * eps * eps)
+        assert start.shape == length.shape == (len(img),)
+        assert ((0 <= start) & (start < resolution)).all()
+        assert ((0 <= length) & (length <= resolution)).all()
+        assert (length[nan_rows] == 0).all()
+        assert _arc_mismatches(img, pts, eps, start, length) == []
+
+    @pytest.mark.parametrize("resolution,eps", [(1000, 0.05), (311, 0.3), (64, 1.3), (8, 0.5)])
+    def test_an_end_off_by_one_fails(self, resolution, eps, pol):
+        """Moving either end of one arc by one line, out or in, is caught in
+        that row and no other."""
+        pts = projective_grid(2, resolution)
+        img = np.vstack(
+            [_first_leg_images(pts, _random_decomposition(2, 3, pol)), _wrapping_rows(resolution)]
+        )
+        start, length = _leg_arcs(img, pts, 1.0 - 0.5 * eps * eps)
+        assert _arc_mismatches(img, pts, eps, start, length) == []
+        rows = np.flatnonzero((length > 1) & (length < resolution - 1))
+        assert rows.size
+        for row in np.random.default_rng(resolution).choice(rows, 3):
+            for moved_start, moved_length in ((-1, 1), (1, -1), (0, 1), (0, -1)):
+                s, n = start.copy(), length.copy()
+                s[row] = (s[row] + moved_start) % resolution
+                n[row] += moved_length
+                assert _arc_mismatches(img, pts, eps, s, n) == [row]
 
 
 class TestChainPairBudget:
