@@ -456,9 +456,10 @@ def simulation_check(dec, cls, dims, starts, seed, horizon, pol=None):
 
     Starts go through in stacks of ``_BLOCK_STARTS``.  Per direction a stack
     has one rank count, one ``_advance`` (one product and one QR per substep,
-    one step cache for all starts) and one batched defect, with the bits of
-    separate trajectories.  Errors come in start order, forward first; a leg
-    beyond the substep budget raises before any start is scored.
+    one step cache for all starts), one finiteness check of the end flags
+    and one batched defect, with the bits of separate trajectories.  Errors
+    come in start order, forward first; a leg beyond the substep budget
+    raises before any start is scored.
     """
     pol = pol or DEFAULT_POLICY
     filt, comps = cls.filtration, cls.components
@@ -476,14 +477,17 @@ def simulation_check(dec, cls, dims, starts, seed, horizon, pol=None):
              _advance(dec, b0, t, cache, _orthonormalize))
             for reverse, t, cache in legs
         ]
-        scored = [([], []), ([], [])]
+        # the ends are QR output, orthonormal unless the flow overflowed
+        finite = [np.isfinite(ends).all(axis=(1, 2)) for *_, ends in runs]
+        picked = ([], [])
         for k in range(size):
-            for (tables, margins, ends), (picked, bases) in zip(runs, scored):
+            for (tables, margins, _), ok, chosen in zip(runs, finite, picked):
                 table = _checked_table(tables[k], margins[k])
-                picked.append(comps[_component_index(table, index)])
-                bases.append(Flag(ends[k], dims).basis)
-        for i, (picked, bases) in enumerate(scored):
-            for defect in _defects(np.stack(bases), dims, picked, filt):
+                chosen.append(comps[_component_index(table, index)])
+                if not ok[k]:
+                    raise InputError("flag basis has non-finite entries")
+        for i, ((*_, ends), chosen) in enumerate(zip(runs, picked)):
+            for defect in _defects(ends, dims, chosen, filt):
                 worst = max(worst, defect)
                 if defect <= pol.sim_tol:
                     matches[i] += 1

@@ -376,8 +376,10 @@ def projective_grid(n, resolution):
 
 
 def _abs_cos(a, b):
-    """|a_k . b_k| row by row, bitwise equal to the entries of |A @ B.T|
-    (a stacked matmul rounds like the gemm; einsum and (a*b).sum do not)."""
+    """|a_k . b_k| row by row, as a stacked matmul of 1 x n by n x 1 rounds
+    it.  That is the gemm's rounding of |A @ B.T| at most shapes (einsum and
+    (a*b).sum round otherwise), but not all: OpenBLAS's Haswell kernel puts
+    a few entries one ulp apart at N = 2100 and 3500 on P^1."""
     return np.abs(np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0])
 
 
@@ -597,7 +599,18 @@ def chain_oracle(dec, resolution, eps, min_time, pol=None, leg_doublings=11):
         leg_times.append(t)
         if last is None or not np.array_equal(step, last):
             img = pts @ step.T
-            img /= np.linalg.norm(img, axis=1)[:, None]
+            norm = np.linalg.norm(img, axis=1)
+            # squares below 2^-1022 lose bits or vanish, so a row of norm
+            # below 2^-500 is first scaled by a power of two (exact, and so
+            # the same bits for rows that did not underflow) to a largest
+            # entry in [1/2, 1); its direction keeps its arcs
+            tiny = norm < 2.0**-500
+            if tiny.any():
+                rows = img[tiny]
+                rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
+                img[tiny] = rows
+                norm[tiny] = np.linalg.norm(rows, axis=1)
+            img /= norm[:, None]
             if n == 2:
                 arcs.append(_leg_arcs(img, pts, cos_thresh))
             else:

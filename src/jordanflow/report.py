@@ -4,9 +4,10 @@ Reports are deterministic: floats are printed with 17 significant digits
 (lossless for doubles), dict key order is fixed by construction, and every
 numerical verdict travels with its margin.  parse -> emit is the identity on
 report bytes.  The writer dispatches each list on the type of its first
-element and writes each distinct flat row of exact ints or exact floats
-once per call (a census repeats its assignment rows thousands of times);
-the row memo lives for one call only.
+element and writes each flat tuple of exact ints or exact floats once per
+call, however many places share that tuple object: a census builds its
+thousands of assignments from a few hundred shared row tuples.  The row
+memo is keyed on the tuple's identity and lives for one call only.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ def _dumps(obj, indent, keys, rows):
     chain.  A list is dispatched on the type of its first element, so a list
     of containers is laid out without scanning it for leaves.  Two caches
     live for one call: ``keys`` holds the JSON text of ``str`` dict keys, and
-    ``rows`` the text of flat rows of exact ints or exact floats, keyed on
-    (formatter, tuple(row)): the formatter tells ``[10**20]`` from
-    ``[1e20]``, and the key is the row's value, never its ``id``, which
-    temporaries reuse.  Each container joins its own fragments: a fragment
-    list for the whole report would hold every piece of it alive until the
-    end and raise the peak memory."""
+    ``rows`` maps ``id(row)`` to (row, text) for each flat tuple of exact
+    ints or exact floats.  The entry holds the row, so no other object can
+    take its id before the call returns, and a tuple of such elements cannot
+    change, so one id is one text.  Lists can change and are written each
+    time they occur; memoizing them would also keep every row text of a
+    parsed report alive.  Each container joins its own fragments: a
+    fragment list for the whole report would hold every piece of it alive
+    until the end and raise the peak memory."""
     kind = type(obj)
     if kind is float:
         return _fmt_float(obj)
@@ -84,23 +87,31 @@ def _dumps(obj, indent, keys, rows):
                     text = keys[k] = json.dumps(k)
             else:
                 text = json.dumps(str(k))
-            parts += (inner, text, ": ", _dumps(v, indent + 2, keys, rows), ",\n")
+            leaf = type(v)
+            if leaf is int:
+                value = str(v)
+            elif leaf is bool:
+                value = "true" if v else "false"
+            else:
+                value = _dumps(v, indent + 2, keys, rows)
+            parts += (inner, text, ": ", value, ",\n")
         parts[-1] = "\n" + inner[2:] + "}"
         return "".join(parts)
     first = type(obj[0])
     if first is int or first is float:
         if all(type(v) is first for v in obj):
-            fmt = str if first is int else _fmt_float
-            key = (fmt, tuple(obj))
-            text = rows.get(key)
-            if text is None:
-                text = rows[key] = "[" + ", ".join(map(fmt, obj)) + "]"
+            text = "[" + ", ".join(map(str if first is int else _fmt_float, obj)) + "]"
+            if kind is tuple:
+                rows[id(obj)] = (obj, text)
             return text
     if isinstance(obj[0], _FLAT) and all(isinstance(v, _FLAT) for v in obj):
         return "[" + ", ".join(map(_scalar, obj)) + "]"
     parts = ["[\n"]
     for v in obj:
-        parts += (inner, _dumps(v, indent + 2, keys, rows), ",\n")
+        # a live entry's id is its own row's, whatever v is
+        hit = rows.get(id(v))
+        text = hit[1] if hit is not None else _dumps(v, indent + 2, keys, rows)
+        parts += (inner, text, ",\n")
     parts[-1] = "\n" + inner[2:] + "]"
     return "".join(parts)
 

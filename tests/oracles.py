@@ -592,6 +592,15 @@ def down_convert_report(text):
     return dumps_canonical_reference(doc) + "\n"
 
 
+def unit_rows(img):
+    """Rows divided by their norms.  Rows of entries below 2^-400 are
+    multiplied by 2^600 first (exact), so that their norm does not underflow;
+    a zero row becomes NaN."""
+    img = img.copy()
+    img[np.abs(img).max(axis=1) < 2.0**-400] *= 2.0**600
+    return img / np.linalg.norm(img, axis=1)[:, None]
+
+
 def chain_graph_dense(pts, g1, eps, leg_doublings):
     """The (eps, T)-chain graph from one dense N x N cosine matrix per leg.
 
@@ -604,13 +613,11 @@ def chain_graph_dense(pts, g1, eps, leg_doublings):
     adj = sp.csr_matrix((resolution, resolution), dtype=bool)
     step = g1.copy()
     for _ in range(leg_doublings + 1):
-        img = pts @ step.T
-        img /= np.linalg.norm(img, axis=1)[:, None]
-        cos = np.abs(img @ pts.T)
+        cos = np.abs(unit_rows(pts @ step.T) @ pts.T)
         adj = (adj + sp.csr_matrix(cos > cos_thresh)).tocsr()
         step = step @ step
         step /= max(np.abs(step).max(), 1e-300)
-    del cos, img
+    del cos
 
     ncomp, labels = connected_components(adj, directed=True, connection="strong")
     size = np.bincount(labels, minlength=ncomp)
@@ -636,8 +643,10 @@ _BLOCK_PAIRS = 2**18
 
 
 def _abs_cos(a, b):
-    """|a_k . b_k| row by row, bitwise equal to the entries of |A @ B.T|
-    (a stacked matmul rounds like the gemm; einsum and (a*b).sum do not)."""
+    """|a_k . b_k| row by row, as a stacked matmul of 1 x n by n x 1 rounds
+    it.  That is the gemm's rounding of |A @ B.T| at most shapes (einsum and
+    (a*b).sum round otherwise), but not all: OpenBLAS's Haswell kernel puts
+    a few entries one ulp apart at N = 2100 and 3500 on P^1."""
     return np.abs(np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0])
 
 

@@ -750,6 +750,37 @@ class TestChainGraphMatchesDense:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.assert_matches(dec, n, resolution, 0.05, pol)
 
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-200, 5e-324])
+    @pytest.mark.parametrize("resolution,eps", [(1000, 0.05), (311, 0.3)])
+    def test_tiny_rows_keep_their_arcs(self, tiny, resolution, eps, pol, monkeypatch):
+        """A first step diag(tiny, 1) sends grid line 0, (1, 0), to
+        (tiny, 0), whose squared entries underflow: the row still keeps the
+        arc of line 0 itself, and the graph equals the dense one.  The
+        second leg's step, diag(tiny^2, 1), keeps the line at (1, 0) while
+        tiny^2 is not 0 (a subnormal) and sends it to 0 once it is."""
+        step = np.diag([tiny, 1.0])
+        monkeypatch.setattr(projective, "_step_matrix", lambda dec, t: step.copy())
+        images = []
+        leg_arcs = projective._leg_arcs
+        monkeypatch.setattr(
+            projective, "_leg_arcs", lambda img, *args: images.append(img) or leg_arcs(img, *args)
+        )
+        dec = multiplicative_jordan(np.diag([0.5, 2.0]), pol)
+        pts = projective_grid(2, resolution)
+        with np.errstate(invalid="ignore"):
+            cg = chain_oracle(dec, resolution, eps, 1.0, pol, leg_doublings=1)
+            adj, marked, covering = oracles.chain_graph_dense(pts, step, eps, 1)
+        cos_thresh = 1.0 - 0.5 * eps * eps
+        assert np.array_equal(images[0][0], [1.0, 0.0])
+        own = [a[0] for a in _leg_arcs(pts[:1], pts, cos_thresh)]
+        assert [a[0] for a in _leg_arcs(images[0][:1], pts, cos_thresh)] == own
+        if tiny * tiny > 0.0:
+            assert np.array_equal(images[1][0], [1.0, 0.0])
+        else:
+            assert np.isnan(images[1][0]).all()
+        assert (cg.edges != adj).nnz == 0
+        assert np.array_equal(cg.marked, marked) and cg.covering_radius == covering
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_leg_rows_not_finite(self, n, pol):
         """One leg's CSR equals the dense strict test row by row when some
@@ -937,8 +968,9 @@ class TestLegArcs:
         squared and normalized), N in 8..4000, eps log-uniform from 1e-9 to
         3 or on the boundary as ``test_eps_on_the_boundary`` builds it (from
         the cosine of a drawn pair, raised by ulps until the pair passes the
-        strict test), with NaN rows and rows whose arcs wrap across angle
-        0."""
+        strict test), with NaN rows, rows whose arcs wrap across angle 0,
+        and rows of late legs whose entries are near 1e-291, scaled to unit
+        norm without underflow."""
         eps = 10.0**log_eps
         pts = projective_grid(2, resolution)
         step = np.array(entries).reshape(2, 2)
@@ -948,8 +980,7 @@ class TestLegArcs:
             step = step @ step
             step /= max(np.abs(step).max(), 1e-300)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            img = pts @ step.T
-            img /= np.linalg.norm(img, axis=1)[:, None]
+            img = oracles.unit_rows(pts @ step.T)
         img = np.vstack([img, _wrapping_rows(resolution)])
         nan_rows = data.draw(st.lists(st.integers(0, len(img) - 1), max_size=3))
         img[nan_rows] = np.nan

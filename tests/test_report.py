@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jordanflow import InputError
+from jordanflow import cli
 from jordanflow.cli import main
 from jordanflow.report import SCHEMA_VERSION, dumps_canonical, load_schema
 from oracles import down_convert_report, dumps_canonical_reference
@@ -78,14 +79,41 @@ class TestDumpsCanonical:
             with pytest.raises(InputError):
                 dumps(wrap(bad))
 
+    @given(data=st.data(), indent=st.sampled_from([0, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_tuples_equal_reference(self, data, indent):
+        """A few tuple objects, each at many positions of one report, among
+        them tuples that compare equal but hold other types: each position
+        is written as its own tuple is."""
+        flat = st.one_of(
+            st.lists(st.integers(), min_size=1, max_size=4),
+            st.lists(finite, min_size=1, max_size=4),
+            st.lists(st.one_of(st.booleans(), st.integers(), finite), min_size=1, max_size=4),
+        ).map(tuple)
+        pool = [(1, 0), (True, False), (1.0, 0.0), (np.int64(1), 0), (-0.0, 0.0)]
+        pool += data.draw(st.lists(flat, max_size=4))
+        obj = data.draw(
+            st.recursive(
+                st.sampled_from(pool),
+                lambda children: st.one_of(
+                    st.lists(children, min_size=1, max_size=6),
+                    st.lists(children, min_size=1, max_size=6).map(tuple),
+                    st.dictionaries(st.text(max_size=2), children, max_size=4),
+                ),
+                max_leaves=40,
+            )
+        )
+        assert dumps_canonical(obj, indent) == dumps_canonical_reference(obj, indent)
+
     def test_rows_that_compare_equal_keep_their_own_text(self):
-        """Flat rows are written once per distinct (formatter, value); rows
-        equal as tuples but of other types keep their own text."""
+        """Flat tuples are written once per tuple object; rows equal as
+        tuples but of other types, or other objects, keep their own text."""
 
         class Count(int):
             def __str__(self):
                 return "not-this"
 
+        shared = (1, 0)
         report = {
             "ints": [[1, 0], (1, 0), [10**20, 0]],
             "floats": [[1.0, 0.0], (1.0, 0.0), [1e20, 0.0], [1e20, 0]],
@@ -99,6 +127,7 @@ class TestDumpsCanonical:
             ],
             "subclass": [[Count(1), Count(0)], [1, 0]],
             "again": [[1e20, 0.0], [10**20, 0], (True, False), [1, 0]],
+            "shared": [shared, [shared, (1.0, 0.0)], {"x": shared}, (np.int64(1), 0), shared],
         }
         for indent in (0, 3):
             assert dumps_canonical(report, indent) == dumps_canonical_reference(report, indent)
@@ -125,25 +154,63 @@ class TestDumpsCanonical:
             tracemalloc.stop()
         assert kept < 100_000
 
-    def test_full_flag_report_peak_memory(self, tmp_path):
+    def test_tuple_row_memo_lives_for_one_call(self):
+        """Tuples that only the running call holds (a list subclass that
+        yields a fresh tuple per element) are written as they are: a memo
+        that kept their text but let them go would hand a freed tuple's id,
+        and its text, to a later one.  Tuple rows of a second call get their
+        own text; the row texts of a call are freed when it returns."""
+
+        class Fresh(list):
+            def __iter__(self):
+                return (tuple(row) for row in list.__iter__(self))
+
+        report = [Fresh([[i, i + 0.5], [i, -i]]) for i in range(200)]
+        assert dumps_canonical(report, 2) == dumps_canonical_reference(report, 2)
+        first = dumps_canonical({"a": (1.5, 2.5)})
+        second = dumps_canonical({"a": (7.25, 2.5)})
+        assert second == dumps_canonical_reference({"a": (7.25, 2.5)}) != first
+        dumps_canonical([tuple(i + j / 32 for j in range(24)) for i in range(2000)])
+        rows = [tuple(i - j / 32 for j in range(24)) for i in range(2000)]
+        tracemalloc.start()
+        try:
+            text = dumps_canonical({"rows": rows, "again": rows})
+            del text
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 100_000
+
+    def test_full_flag_report_peak_memory(self, tmp_path, monkeypatch):
         """The tracemalloc peak while serializing the 5,040-component
         analyze report of a 7x7 diagonal input stays within 3.5x the output
-        length (a single fragment list for the whole report reaches 5.3x)."""
+        length (a single fragment list for the whole report reaches 5.3x),
+        both for the object the CLI builds, whose assignment rows are shared
+        tuples, and for the parsed report, whose rows are lists.  The built
+        object also equals the reference writer's bytes."""
+        built = []
+        monkeypatch.setattr(
+            cli, "dumps_canonical", lambda obj: built.append(obj) or dumps_canonical(obj)
+        )
         rates = [0.9, 0.55, 0.3, 0.05, -0.2, -0.6, -1.0]
         src = tmp_path / "x.json"
         src.write_text(json.dumps({"n": 7, "rows": np.diag(rates).tolist()}))
         out = tmp_path / "out.json"
         assert main(["analyze", str(src), "--flag", "1,2,3,4,5,6", "-o", str(out)]) == 0
-        report = json.loads(out.read_text())
+        want = out.read_text()
+        report = json.loads(want)
         assert len(report["components"]) == 5040
-        tracemalloc.start()
-        try:
-            text = dumps_canonical(report)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert text + "\n" == out.read_text()
-        assert peak <= 3.5 * len(text)
+        assert type(built[0]["components"][0]["assignment"][0]) is tuple
+        assert dumps_canonical_reference(built[0]) + "\n" == want
+        for obj in (built[0], report):
+            tracemalloc.start()
+            try:
+                text = dumps_canonical(obj)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert text + "\n" == want
+            assert peak <= 3.5 * len(text)
 
 
 #: jf-schema-1 reports of these runs, written by jordanflow before
